@@ -24,6 +24,12 @@ numpy comparison rather than a per-candidate dict walk; at 100k records
 a query touches ~1000 collisions and this is the difference between
 microseconds and milliseconds.
 
+The store queries a record's candidates right after adding it, so the
+index keeps the last description it hashed beside its signature and
+reuses it when the same description comes back.  The slot holds one
+signature, never a memo that grows; a signature is a pure function of
+the description, so every caller gets the answer a fresh hash would.
+
 The index itself is not locked — the store guards it, like
 :class:`~repro.resolve.incremental.TokenCandidateIndex` — but the shard
 layer underneath carries per-shard locks so direct concurrent use of
@@ -83,15 +89,26 @@ class MinHashCandidateIndex(CandidateIndex):
         self._count = 0
         #: records indexed with an empty token set (no blocking key).
         self.unindexable = 0
+        #: (description, signature) of the last description hashed.
+        self._last: tuple[str, np.ndarray | None] | None = None
 
     def __len__(self) -> int:
         return self._count + self.unindexable
+
+    def _signature(self, description: str) -> np.ndarray | None:
+        """Signature of *description*, reusing the last one hashed."""
+        last = self._last
+        if last is not None and last[0] == description:
+            return last[1]
+        signature = self.hasher.signature(blocking_tokens(description))
+        self._last = (description, signature)
+        return signature
 
     def add(self, record_id: str, description: str) -> None:
         """Index one record; token-less records get no blocking key."""
         if record_id in self._row:
             raise ValueError(f"record {record_id!r} already indexed")
-        signature = self.hasher.signature(blocking_tokens(description))
+        signature = self._signature(description)
         if signature is None:
             self.unindexable += 1
             return
@@ -125,7 +142,7 @@ class MinHashCandidateIndex(CandidateIndex):
         self, description: str, exclude: str | None = None
     ) -> tuple[str, ...]:
         """Sorted ids sharing a band bucket (and the similarity floor)."""
-        signature = self.hasher.signature(blocking_tokens(description))
+        signature = self._signature(description)
         if signature is None:
             return ()
         found = [
@@ -154,7 +171,7 @@ class MinHashCandidateIndex(CandidateIndex):
         record onto the shards owning its band keys covers every pair
         this index would surface.  Token-less records have no keys.
         """
-        signature = self.hasher.signature(blocking_tokens(description))
+        signature = self._signature(description)
         if signature is None:
             return ()
         return tuple(sorted({int(k) for k in self.banding.band_keys(signature)}))

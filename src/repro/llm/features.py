@@ -128,12 +128,6 @@ def _is_code(token: str) -> bool:
     return (has_alpha and has_digit) or (token.isdigit() and 2 <= len(token) <= 4)
 
 
-def _canon_version(token: str) -> str | None:
-    if _VERSION_RE.match(token):
-        return token
-    return None
-
-
 def _last_names(field: str) -> set[str]:
     parts = re.split(r"[,;]| and ", field)
     names: set[str] = set()
@@ -213,8 +207,10 @@ def featurize_pair(left: str, right: str) -> np.ndarray:
             len(tokens_l), len(tokens_r)
         )
 
-    rare_l = {t for t in set_l if len(t) >= 8 or _is_code(t)}
-    rare_r = {t for t in set_r if len(t) >= 8 or _is_code(t)}
+    codes_l = {t for t in set_l if _is_code(t)}
+    codes_r = {t for t in set_r if _is_code(t)}
+    rare_l = {t for t in set_l if len(t) >= 8} | codes_l
+    rare_r = {t for t in set_r if len(t) >= 8} | codes_r
     phi[_INDEX["rare_token_overlap"]] = _jaccard(rare_l, rare_r)
 
     nums_l = {t for t in set_l if any(c.isdigit() for c in t)}
@@ -244,8 +240,6 @@ def featurize_pair(left: str, right: str) -> np.ndarray:
         _scholar_features(phi, fields_l, fields_r)
         return phi
 
-    codes_l = {t for t in set_l if _is_code(t) and not _SKU_RE.match(t)}
-    codes_r = {t for t in set_r if _is_code(t) and not _SKU_RE.match(t)}
     shared_codes = codes_l & codes_r
     phi[_INDEX["code_match"]] = float(bool(shared_codes))
     phi[_INDEX["code_conflict"]] = float(
@@ -262,8 +256,8 @@ def featurize_pair(left: str, right: str) -> np.ndarray:
                 break
     phi[_INDEX["near_code_match"]] = near
 
-    vers_l = {t for t in set_l if _canon_version(t)}
-    vers_r = {t for t in set_r if _canon_version(t)}
+    vers_l = {t for t in set_l if _VERSION_RE.match(t)}
+    vers_r = {t for t in set_r if _VERSION_RE.match(t)}
     phi[_INDEX["version_match"]] = float(bool(vers_l & vers_r))
     phi[_INDEX["version_conflict"]] = float(
         bool(vers_l) and bool(vers_r) and not (vers_l & vers_r)

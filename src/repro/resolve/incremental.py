@@ -413,6 +413,10 @@ class ResolutionStore:
         and are never re-asked, so finishing an uncommitted record after
         a crash decides exactly the pairs the interrupted run had not yet
         acknowledged.
+
+        The index is queried once per record unless a scan stopped at
+        ``chunk_size`` or another record was ingested after it: only
+        then can a fresh scan surface a pair the last one did not.
         """
         candidates = 0
         calls = 0
@@ -420,6 +424,10 @@ class ResolutionStore:
         merges: list[tuple[str, str]] = []
         while True:
             with self._lock:
+                #: records are never removed, so an unchanged count means
+                #: an unchanged candidate set for this record.
+                seen = len(self._records)
+                truncated = False
                 #: (other id, prompt-left desc, prompt-right desc) —
                 #: descriptions are ordered by the canonical (sorted) pair,
                 #: NOT by arrival: the model's answer is not symmetric in
@@ -447,6 +455,7 @@ class ResolutionStore:
                         self._records[second].description,
                     ))
                     if len(todo) >= self.chunk_size:
+                        truncated = True
                         break
             if not todo:
                 break
@@ -491,6 +500,8 @@ class ResolutionStore:
                         merges.append(decision.key)
                         if self.mode == "transitive":
                             self._uf.union(record.record_id, other)
+                if not truncated and len(self._records) == seen:
+                    break
         return candidates, calls, skipped, merges
 
     def ingest_all(self, records: Sequence[Record]) -> list[IngestResult]:

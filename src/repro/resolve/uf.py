@@ -6,9 +6,15 @@ guarantee that connected components do not depend on the order unions
 arrive in.  The public ids are made insertion-order-independent too:
 a component's id is its lexicographically smallest member, so two stores
 that ingested the same records in different orders report identical
-cluster ids.  Internal parent pointers *do* depend on call order (rank
+cluster ids.  Internal parent pointers *do* depend on call order (size
 unions + path compression), which is why no public method ever exposes a
 raw root: everything is keyed on the canonical min-member id.
+
+Each root owns the list of its component's members.  ``union`` hangs
+the smaller component under the larger one's root and extends the
+larger list with the smaller, so every element moves O(log n) times
+over any union sequence, trees stay O(log n) deep, and reading one
+component costs O(its size), never a scan over every element.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ class UnionFind:
 
     def __init__(self, elements: Iterable[str] = ()) -> None:
         self._parent: dict[str, str] = {}
-        self._rank: dict[str, int] = {}
         #: root → lexicographically smallest member of its component.
         self._min_member: dict[str, str] = {}
+        #: root → every member of its component (unordered).
+        self._members: dict[str, list[str]] = {}
         for element in elements:
             self.add(element)
 
@@ -36,8 +43,8 @@ class UnionFind:
         if element in self._parent:
             return False
         self._parent[element] = element
-        self._rank[element] = 0
         self._min_member[element] = element
+        self._members[element] = [element]
         return True
 
     def __contains__(self, element: str) -> bool:
@@ -85,18 +92,19 @@ class UnionFind:
         root_b = self._find_root(b)
         if root_a == root_b:
             return False
-        # Union by rank; equal ranks break ties on the min-member id so
+        # Union by size; equal sizes break ties on the min-member id so
         # the tree shape is deterministic for a fixed call sequence.
-        if self._rank[root_a] < self._rank[root_b]:
+        size_a, size_b = len(self._members[root_a]), len(self._members[root_b])
+        if size_a < size_b or (
+            size_a == size_b
+            and self._min_member[root_b] < self._min_member[root_a]
+        ):
             root_a, root_b = root_b, root_a
-        elif self._rank[root_a] == self._rank[root_b]:
-            if self._min_member[root_b] < self._min_member[root_a]:
-                root_a, root_b = root_b, root_a
-            self._rank[root_a] += 1
         self._parent[root_b] = root_a
         self._min_member[root_a] = min(
             self._min_member[root_a], self._min_member.pop(root_b)
         )
+        self._members[root_a].extend(self._members.pop(root_b))
         return True
 
     def connected(self, a: str, b: str) -> bool:
@@ -107,22 +115,16 @@ class UnionFind:
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """All components, members sorted, components sorted by their id."""
-        groups: dict[str, list[str]] = {}
-        for element in self._parent:
-            groups.setdefault(self._find_root(element), []).append(element)
         return tuple(
             sorted(
-                (tuple(sorted(members)) for members in groups.values()),
+                (tuple(sorted(members)) for members in self._members.values()),
                 key=lambda component: component[0],
             )
         )
 
     def component_of(self, element: str) -> tuple[str, ...]:
-        """Sorted members of *element*'s component."""
-        root = self._find_root(element)
-        return tuple(
-            sorted(e for e in self._parent if self._find_root(e) == root)
-        )
+        """Sorted members of *element*'s component, in O(its size)."""
+        return tuple(sorted(self._members[self._find_root(element)]))
 
     def component_ids(self) -> dict[str, str]:
         """Every element → its canonical (min-member) component id."""
@@ -150,8 +152,8 @@ class UnionFind:
         observable through the public surface.
         """
         self._parent.clear()
-        self._rank.clear()
         self._min_member.clear()
+        self._members.clear()
         for members in components:
             group = [str(member) for member in members]
             if not group:
@@ -159,14 +161,15 @@ class UnionFind:
             cid = min(group)
             for member in group:
                 self._parent[member] = cid
-                self._rank[member] = 0
-            self._rank[cid] = 1 if len(group) > 1 else 0
             self._min_member[cid] = cid
+            self._members[cid] = group
 
     def copy(self) -> "UnionFind":
         """Independent copy (components and determinism preserved)."""
         clone = UnionFind()
         clone._parent = dict(self._parent)
-        clone._rank = dict(self._rank)
         clone._min_member = dict(self._min_member)
+        clone._members = {
+            root: list(members) for root, members in self._members.items()
+        }
         return clone

@@ -98,6 +98,67 @@ class TestPredicate:
             MinHashCandidateIndex(bands=32)
 
 
+class _CountingHasher:
+    """Counts calls through ``MinHasher.signature`` on one index."""
+
+    def __init__(self, index):
+        self.calls = 0
+        self._signature = index.hasher.signature
+        index.hasher.signature = self
+
+    def __call__(self, tokens):
+        self.calls += 1
+        return self._signature(tokens)
+
+
+class TestSignatureReuse:
+    def test_add_then_query_hashes_once_with_unchanged_answers(self):
+        corpus = _corpus()
+        index = _index(min_similarity=0.35)
+        twin = _index(min_similarity=0.35)
+        hashed = _CountingHasher(index)
+        for n, record in enumerate(corpus.records, start=1):
+            index.add(record.record_id, record.description)
+            found = index.candidates(record.description, exclude=record.record_id)
+            assert hashed.calls == n
+            twin.add(record.record_id, record.description)
+            twin.candidates("unrelated probe text")  # a different last hash
+            assert found == twin.candidates(
+                record.description, exclude=record.record_id
+            )
+
+    def test_a_different_description_is_hashed(self):
+        corpus = _corpus(40)
+        index = _index()
+        for record in corpus.records:
+            index.add(record.record_id, record.description)
+        hashed = _CountingHasher(index)
+        index.add("new", "acme widget pro 64gb black")
+        probe = "acme widget pro 64gb black edition"
+        found = index.candidates(probe)
+        assert hashed.calls == 2
+        assert "new" in found
+        fresh = _index()
+        for record in corpus.records:
+            fresh.add(record.record_id, record.description)
+        fresh.add("new", "acme widget pro 64gb black")
+        assert found == fresh.candidates(probe)
+
+    def test_blocking_keys_are_unchanged(self):
+        description = "acme widget pro 64gb black"
+        index = _index()
+        hashed = _CountingHasher(index)
+        index.add("a", description)
+        assert index.blocking_keys(description) == _index().blocking_keys(
+            description
+        )
+        assert hashed.calls == 1
+        assert index.blocking_keys("zenix gadget") == _index().blocking_keys(
+            "zenix gadget"
+        )
+        assert hashed.calls == 2
+
+
 class TestTopCandidates:
     def test_matches_rank_candidates_contract(self):
         """The matrix-backed ranking equals the reference implementation."""

@@ -7,6 +7,7 @@ symmetric in (left, right): exactly the property the store's canonical
 pair orientation must neutralize.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,7 +22,7 @@ from repro.resolve import (
     decision_score,
 )
 
-from tests.engine.doubles import ParityBackend
+from tests.engine.doubles import JaccardBackend, ParityBackend
 
 GROUPS = ("alpha", "bravo", "carol", "delta")
 
@@ -128,6 +129,119 @@ class TestIngestion:
             list(pool.map(concurrent.ingest, records))
         assert concurrent.clustering() == sequential.clustering()
         assert len(concurrent) == 12
+
+
+class _CountingIndex(TokenCandidateIndex):
+    """Token index that counts ``candidates`` calls per probe description."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.queries: dict[str, int] = {}
+
+    def candidates(self, description, exclude=None):
+        self.queries[description] = self.queries.get(description, 0) + 1
+        return super().candidates(description, exclude=exclude)
+
+
+class _ArrivalEngine:
+    """Engine whose first ``match_pairs`` call ingests one more record.
+
+    The arrival lands while the store is deciding another record's
+    chunk, outside the store lock — what a concurrent writer does.
+    """
+
+    def __init__(self, arrival: Record) -> None:
+        self.inner = MatchingEngine(backend=JaccardBackend())
+        self.arrival: Record | None = arrival
+        self.store: ResolutionStore | None = None
+
+    def match_pairs(self, pairs):
+        if self.arrival is not None:
+            arrival, self.arrival = self.arrival, None
+            self.store.ingest(arrival)
+        return self.inner.match_pairs(pairs)
+
+
+class TestIndexQueries:
+    def test_one_query_per_ingest_below_chunk_size(self):
+        index = _CountingIndex()
+        store = _store(index=index, chunk_size=32, short_circuit=False)
+        records = _records(16)
+        store.ingest_all(records)
+        # Record i has i candidates, all fewer than chunk_size.
+        assert index.queries == {r.description: 1 for r in records}
+        assert store.engine_calls == 16 * 15 // 2
+
+    def test_a_scan_cut_at_chunk_size_is_resumed(self):
+        index = _CountingIndex()
+        store = _store(index=index, chunk_size=4, short_circuit=False)
+        records = _records(16)
+        store.ingest_all(records)
+        # Record i's i candidates take i // 4 full chunks, each followed
+        # by a fresh scan; the last scan finds the remainder (or nothing).
+        assert index.queries == {
+            r.description: i // 4 + 1 for i, r in enumerate(records)
+        }
+        keys = [d.key for d in store.decisions()]
+        assert len(keys) == len(set(keys)) == 16 * 15 // 2
+
+    def test_a_record_arriving_mid_decision_is_still_compared(self):
+        early = [
+            Record(record_id=f"e{i}", attributes={},
+                   description=f"widget {group} series")
+            for i, group in enumerate(GROUPS[:3])
+        ]
+        probe = Record(record_id="p", attributes={},
+                       description="widget delta series pro")
+        arrival = Record(record_id="a", attributes={},
+                         description="widget delta series pro max")
+        engine = _ArrivalEngine(arrival)
+        index = _CountingIndex()
+        store = ResolutionStore(engine, index=index, short_circuit=False)
+        engine.store = store
+        # e0 has no candidates, so e1's chunk is the first engine call.
+        store.ingest_all([*early, probe])
+
+        serial = ResolutionStore(
+            MatchingEngine(backend=JaccardBackend()), short_circuit=False
+        )
+        serial.ingest_all([*early[:2], arrival, early[2], probe])
+
+        # The arrival landed during e1's decisions, after e1's scan, so
+        # e1 re-scanned once; every pair is still decided exactly once.
+        assert index.queries[early[1].description] == 2
+        assert index.queries[probe.description] == 1
+        keys = [d.key for d in store.decisions()]
+        assert len(keys) == len(set(keys)) == 5 * 4 // 2
+        assert ("a", "e1") in keys
+        assert store.decisions() == serial.decisions()
+        assert store.clustering() == serial.clustering()
+        assert store.clustering().cluster_of("p") == ("a", "p")
+
+    def test_many_writers_decide_every_pair_once(self):
+        """Stress: more writers than cores, tiny switch interval.
+
+        A writer stops re-scanning only when its last scan was complete
+        and no record arrived since; a lost arrival would leave a pair
+        undecided and change the decision set.
+        """
+        records = _records(40)
+        serial = _store(short_circuit=False)
+        serial.ingest_all(records)
+        store = _store(short_circuit=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(store.ingest, r) for r in records]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        keys = [d.key for d in store.decisions()]
+        assert len(keys) == len(set(keys)) == 40 * 39 // 2
+        assert store.decisions() == serial.decisions()
+        assert store.clustering() == serial.clustering()
 
 
 class TestConstraintsAndModes:

@@ -6,6 +6,7 @@ order elements were added or unions were applied.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util import derive_rng
 from repro.resolve import UnionFind
@@ -103,3 +104,95 @@ class TestCopy:
         assert clone.connected("r00", "r11")
         assert not uf.connected("r00", "r11")
         assert uf.components() == EXPECTED
+
+
+# ------------------------------------------------------------ property test
+
+_KEY = st.sampled_from([f"k{i:02d}" for i in range(14)])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _KEY),
+        st.tuples(st.just("union"), _KEY, _KEY),
+        st.tuples(st.just("copy")),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=40,
+)
+
+
+def _reference_components(elements, edges):
+    """Connected components by repeated label propagation (no forest)."""
+    label = {e: e for e in elements}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            low = min(label[a], label[b])
+            for end in (a, b):
+                if label[end] != low:
+                    label[end] = low
+                    changed = True
+    groups = {}
+    for element in elements:
+        groups.setdefault(label[element], []).append(element)
+    return tuple(
+        sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
+    )
+
+
+def _assert_matches(uf, elements, edges):
+    expected = _reference_components(elements, edges)
+    assert uf.components() == expected
+    assert uf.snapshot_state() == [list(c) for c in expected]
+    assert set(uf) == set(elements)
+    owner = {m: c for c in expected for m in c}
+    for element in elements:
+        assert uf.component_of(element) == owner[element]
+        assert uf.find(element) == owner[element][0]
+    for a in elements:
+        for b in elements:
+            assert uf.connected(a, b) == (owner[a] is owner[b])
+    # The member lists partition the elements exactly, one list per root.
+    members = uf._members
+    assert sorted(m for group in members.values() for m in group) == sorted(
+        elements
+    )
+    assert sorted(tuple(sorted(g)) for g in members.values()) == sorted(
+        expected
+    )
+    for root, group in members.items():
+        assert root in group
+        assert all(uf._find_root(m) == root for m in group)
+
+
+class TestAgainstReference:
+    @given(_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_operations_match_a_brute_force_reference(self, ops):
+        uf = UnionFind()
+        elements: list[str] = []
+        edges: list[tuple[str, str]] = []
+        #: (earlier union-find, its elements and edges) at each copy point:
+        #: later operations on the copy must never reach the original.
+        originals = []
+        for op in ops:
+            if op[0] == "add":
+                uf.add(op[1])
+                if op[1] not in elements:
+                    elements.append(op[1])
+            elif op[0] == "union":
+                _, a, b = op
+                uf.union(a, b)
+                elements.extend(e for e in dict.fromkeys((a, b))
+                                if e not in elements)
+                edges.append((a, b))
+            elif op[0] == "copy":
+                originals.append((uf, list(elements), list(edges)))
+                uf = uf.copy()
+            else:
+                restored = UnionFind()
+                restored.restore_state(uf.snapshot_state())
+                uf = restored
+            _assert_matches(uf, elements, edges)
+        for original, its_elements, its_edges in originals:
+            _assert_matches(original, its_elements, its_edges)
