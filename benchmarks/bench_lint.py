@@ -1,14 +1,9 @@
-"""Lint walker throughput: parallel shallow pass, cold vs warm ``--deep``.
+"""Lint walker throughput: shallow pass, cold vs warm ``--deep``.
 
 Two measurements:
 
-* The per-file parse+walk phase of :func:`repro.lint.run_lint` fans out
-  over a thread pool when ``jobs`` > 1.  This benchmark times the
-  shallow lint of the default roots at a sweep of worker counts, asserts
-  every parallel run produces byte-identical output to the serial run,
-  and reports wall-clock plus speedup.  ``ast.parse`` releases the GIL
-  poorly, so the expected win is modest — the point of the numbers is
-  honesty, not marketing.
+* The shallow lint of the default roots (:func:`repro.lint.run_lint`),
+  best-of-N wall-clock.
 * The whole-program ``--deep`` analysis through the incremental cache
   (:mod:`repro.lint.cache`): one cold run populating a fresh cache
   directory, then a warm run against it.  The warm run must return
@@ -25,7 +20,6 @@ Runs standalone (CI smoke) or under pytest-benchmark::
 from __future__ import annotations
 
 import argparse
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -45,40 +39,18 @@ SMOKE_REPEATS = 1
 DEEP_WARM_SPEEDUP_FLOOR = 3.0
 
 
-def _time_run(jobs: int | None, repeats: int) -> tuple[float, str]:
-    """Best-of-*repeats* wall-clock plus the rendered JSON output."""
+def run_shallow(repeats: int) -> dict[str, object]:
+    """Best-of-*repeats* wall-clock of the shallow pass."""
     best = float("inf")
-    payload = ""
     for _ in range(repeats):
         start = time.perf_counter()
-        findings = run_lint(REPO_ROOT, paths=list(DEFAULT_ROOTS), jobs=jobs)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        payload = format_json(findings)
-    return best, payload
-
-
-def run_sweep(repeats: int) -> dict[str, object]:
-    """Serial baseline, then a jobs sweep; outputs must be identical."""
-    serial_s, serial_out = _time_run(None, repeats)
-    rows: list[dict[str, object]] = [
-        {"jobs": "serial", "wall_s": round(serial_s, 4), "speedup": 1.0}
-    ]
-    cpus = os.cpu_count() or 1
-    for jobs in sorted({2, 4, cpus}):
-        if jobs < 2:
-            continue
-        wall, out = _time_run(jobs, repeats)
-        if out != serial_out:
-            raise AssertionError(f"jobs={jobs} output diverged from serial run")
-        rows.append(
-            {
-                "jobs": jobs,
-                "wall_s": round(wall, 4),
-                "speedup": round(serial_s / wall, 2),
-            }
-        )
-    return {"cpus": cpus, "repeats": repeats, "rows": rows}
+        findings = run_lint(REPO_ROOT, paths=list(DEFAULT_ROOTS))
+        best = min(best, time.perf_counter() - start)
+    return {
+        "repeats": repeats,
+        "wall_s": round(best, 4),
+        "findings": len(findings),
+    }
 
 
 def run_deep_cold_warm() -> dict[str, object]:
@@ -124,16 +96,12 @@ def run_deep_cold_warm() -> dict[str, object]:
 
 
 def render(result: dict[str, object]) -> str:
-    rows = [
-        [row["jobs"], f"{row['wall_s']:.4f}", f"{row['speedup']:.2f}x"]
-        for row in result["rows"]
-    ]
     table = format_table(
-        ["jobs", "wall_s", "speedup"],
-        rows,
+        ["run", "wall_s", "findings"],
+        [["shallow", f"{result['wall_s']:.4f}", result["findings"]]],
         title=(
             "lint walker: shallow pass over default roots "
-            f"(cpus={result['cpus']}, best of {result['repeats']})"
+            f"(best of {result['repeats']})"
         ),
     )
     deep = result.get("deep")
@@ -153,10 +121,9 @@ def render(result: dict[str, object]) -> str:
     return table
 
 
-def test_parallel_output_identical_and_measured() -> None:
-    result = run_sweep(SMOKE_REPEATS)
-    assert len(result["rows"]) >= 2
-    assert all(row["wall_s"] > 0 for row in result["rows"])
+def test_shallow_pass_measured() -> None:
+    result = run_shallow(SMOKE_REPEATS)
+    assert result["wall_s"] > 0 and result["findings"] == 0
 
 
 def test_deep_warm_cache_identical_and_fast() -> None:
@@ -173,7 +140,7 @@ def main() -> None:
         help="skip the --deep cold/warm cache measurement",
     )
     args = parser.parse_args()
-    result = run_sweep(SMOKE_REPEATS if args.smoke else FULL_REPEATS)
+    result = run_shallow(SMOKE_REPEATS if args.smoke else FULL_REPEATS)
     if not args.no_deep:
         result["deep"] = run_deep_cold_warm()
     emit("bench_lint", render(result))

@@ -21,7 +21,7 @@ Subcommands::
         [--stats] [--format text|json]
     repro-em lint [PATHS ...] [--rule ID ...] [--format text|json]
         [--list-rules] [--deep] [--baseline FILE] [--update-baseline]
-        [--jobs N] [--changed-only] [--base REF] [--timings]
+        [--changed-only] [--base REF] [--timings]
     repro-em chaos [--fault-rate F] [--seed N ...] [--kill-every N]
         [--pairs N] [--records N] [--journal FILE] [--format text|json]
     repro-em serve [--offered-load F] [--requests N] [--tenants N]
@@ -38,7 +38,6 @@ persona: ...`` message listing the choices, never a traceback.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.core.pipeline import TailorMatch
@@ -225,11 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline", action="store_true",
         help="rewrite the baseline file from the current findings and "
         "exit 0 (ratchet: review the diff — it should only shrink)",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
-        help="thread-pool width for the per-file parse+walk phase "
-        "(default: CPU count; output is identical to a serial run)",
     )
     lint.add_argument(
         "--changed-only", action="store_true",
@@ -789,9 +783,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.changed_only and not paths:
             findings = []  # nothing changed: shallow phase has no input.
         else:
-            findings = run_lint(
-                ".", paths=paths, rules=args.rules, jobs=args.jobs
-            )
+            findings = run_lint(".", paths=paths, rules=args.rules)
     except (ValueError, FileNotFoundError) as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2

@@ -490,16 +490,7 @@ def resolution_snapshot(store: ResolutionStore) -> dict:
     """
     return {
         "clusters": [list(cluster) for cluster in store.clustering().clusters],
-        "decisions": [
-            {
-                "left": d.left,
-                "right": d.right,
-                "match": d.match,
-                "score": d.score,
-                "source": d.source,
-            }
-            for d in store.decisions()
-        ],
+        "decisions": [d.as_entry() for d in store.decisions()],
         "golden": {
             cluster_id: record.description
             for cluster_id, record in sorted(store.golden_records().items())

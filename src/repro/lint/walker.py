@@ -11,7 +11,6 @@ file:line locations).
 from __future__ import annotations
 
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -105,7 +104,7 @@ def changed_files(root: Path | str = ".", base: str = "HEAD") -> list[str]:
 def _lint_one_file(
     path: Path, root: Path, file_rules: list
 ) -> tuple[str, list[Finding], SuppressionIndex | None]:
-    """Parse + file-rule phase for one file (safe to run on any thread)."""
+    """Parse + file-rule phase for one file."""
     relpath = _relpath(path, root)
     source = path.read_text(encoding="utf-8")
     try:
@@ -133,15 +132,11 @@ def run_lint(
     root: Path | str = ".",
     paths: Iterable[str] | None = None,
     rules: Iterable[str] | None = None,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Lint the repository; returns unsuppressed findings, sorted.
 
     ``rules`` filters by rule id (``ValueError`` on unknown ids).  Files
     that fail to parse produce a non-suppressible ``syntax-error`` finding.
-    ``jobs`` > 1 fans the per-file parse+walk phase out over a thread
-    pool; results are merged in file order, so the output is byte-for-byte
-    identical to a serial run.
     """
     root = Path(root)
     selected = list(iter_rules(rules))
@@ -151,15 +146,8 @@ def run_lint(
     findings: list[Finding] = []
     suppressions: dict[str, SuppressionIndex] = {}
 
-    files = list(iter_python_files(root, paths))
-    if jobs is not None and jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_file = list(
-                pool.map(lambda p: _lint_one_file(p, root, file_rules), files)
-            )
-    else:
-        per_file = [_lint_one_file(p, root, file_rules) for p in files]
-    for relpath, file_findings, index in per_file:
+    for path in iter_python_files(root, paths):
+        relpath, file_findings, index = _lint_one_file(path, root, file_rules)
         findings.extend(file_findings)
         if index is not None:
             suppressions[relpath] = index

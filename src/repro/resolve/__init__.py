@@ -19,8 +19,8 @@ in.  This package closes that gap:
   turns journal recovery from O(history) into O(live state);
 * :mod:`~repro.resolve.sharded` — :class:`ShardedResolutionStore`,
   K independent journal-backed shards (replication on blocking keys,
-  cross-shard merge queue, parallel recovery) producing a clustering
-  byte-identical to one shard's;
+  direct cross-shard merge delivery, parallel recovery) producing a
+  clustering byte-identical to one shard's;
 * :mod:`~repro.resolve.canonical` — golden-record selection per cluster
   via deterministic attribute voting;
 * :mod:`~repro.resolve.metrics` — cluster-level evaluation (B³, ARI,
@@ -38,6 +38,7 @@ from repro.resolve.clusterer import (
     Clustering,
     PairDecision,
     ResolutionError,
+    cluster,
     correlation_cluster,
     transitive_closure,
 )
@@ -55,7 +56,6 @@ from repro.resolve.metrics import (
     pairwise_scores,
 )
 from repro.resolve.sharded import (
-    MergeQueue,
     ShardedIngestResult,
     ShardedResolutionStore,
     shard_journal_path,
@@ -79,7 +79,6 @@ __all__ = [
     "Clustering",
     "ClusterScores",
     "IngestResult",
-    "MergeQueue",
     "PairDecision",
     "ResolutionError",
     "ResolutionReport",
@@ -91,6 +90,7 @@ __all__ = [
     "UnionFind",
     "adjusted_rand_index",
     "b_cubed",
+    "cluster",
     "cluster_scores",
     "correlation_cluster",
     "decision_score",

@@ -17,6 +17,7 @@ Both modes honour must-link / cannot-link constraints.  Must-links are
 applied before any decision; a merge that would place a cannot-link pair
 in one cluster is skipped.  Decisions are processed in a canonical sorted
 order, so both functions are invariant to the order decisions arrive in.
+:func:`cluster` picks a mode by name; every resolution path calls it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "Clustering",
     "PairDecision",
     "ResolutionError",
+    "cluster",
     "correlation_cluster",
     "transitive_closure",
 ]
@@ -85,6 +87,16 @@ class PairDecision:
             cached = _canonical_pair(self.left, self.right)
             self.__dict__["_key"] = cached
         return cached
+
+    def as_entry(self) -> dict:
+        """JSON-ready fields: the one encoding journals and snapshots share."""
+        return {
+            "left": self.left,
+            "right": self.right,
+            "match": self.match,
+            "score": self.score,
+            "source": self.source,
+        }
 
     @classmethod
     def trusted(
@@ -333,3 +345,21 @@ def correlation_cluster(
             continue
         merge_components(id_a, id_b)
     return Clustering.from_union_find(uf)
+
+
+def cluster(
+    mode: str,
+    elements: Iterable[str],
+    decisions: Sequence[PairDecision],
+    must_link: Iterable[tuple[str, str]] = (),
+    cannot_link: Iterable[tuple[str, str]] = (),
+    min_agreement: float = 0.5,
+) -> Clustering:
+    """Cluster with the named mode: ``transitive`` or ``correlation``."""
+    if mode == "transitive":
+        return transitive_closure(elements, decisions, must_link, cannot_link)
+    if mode == "correlation":
+        return correlation_cluster(
+            elements, decisions, must_link, cannot_link, min_agreement
+        )
+    raise ValueError(f"unknown resolution mode {mode!r}")

@@ -56,12 +56,7 @@ from repro.datasets.schema import Record
 from repro.engine.engine import MatchingEngine, MatchResult
 from repro.index.protocol import CandidateIndex
 from repro.resolve.canonical import golden_records
-from repro.resolve.clusterer import (
-    Clustering,
-    PairDecision,
-    correlation_cluster,
-    transitive_closure,
-)
+from repro.resolve.clusterer import Clustering, PairDecision, cluster
 from repro.resolve.snapshot import (
     SNAPSHOT_VERSION,
     load_snapshot,
@@ -94,6 +89,24 @@ def _normalize_source(source: str) -> str:
     same logical answer may arrive via either source.
     """
     return "backend" if source == "cache" else source
+
+
+def _record_entry(record: Record) -> dict:
+    """JSON-ready record fields shared by journal entries and snapshots."""
+    return {
+        "record_id": record.record_id,
+        "description": record.description,
+        "attributes": dict(record.attributes),
+    }
+
+
+def _record_from(entry: dict) -> Record:
+    """Decode :func:`_record_entry` output (journal or snapshot)."""
+    return Record(
+        record_id=str(entry["record_id"]),
+        attributes=dict(entry.get("attributes") or {}),
+        description=str(entry["description"]),
+    )
 
 
 class TokenCandidateIndex(CandidateIndex):
@@ -185,7 +198,6 @@ class ResolutionStore:
         self,
         engine: MatchingEngine,
         mode: str = "transitive",
-        min_shared: int = 1,
         min_agreement: float = 0.5,
         chunk_size: int = 32,
         short_circuit: bool = True,
@@ -215,12 +227,8 @@ class ResolutionStore:
         #: blocking-strategy injection point: any CandidateIndex whose
         #: predicate is a symmetric function of the two records alone
         #: preserves the store's insertion-order invariance (see the
-        #: module docstring); ``min_shared`` configures the default
-        #: token index only.
-        self._index = (
-            index if index is not None
-            else TokenCandidateIndex(min_shared=min_shared)
-        )
+        #: module docstring).
+        self._index = index if index is not None else TokenCandidateIndex()
         self._uf = UnionFind()
         self._decisions = []
         self._compared = set()
@@ -287,21 +295,32 @@ class ResolutionStore:
 
     # ------------------------------------------------------------ constraints
 
-    def _apply_must_link(self, a: str, b: str) -> bool:
-        """Register a must-link pair; union it if both sides are present.
+    def _register_must_link(self, a: str, b: str) -> tuple[str, str] | None:
+        """Record a must-link pair in the bookkeeping, without any union.
 
-        Returns False when the pair was already known.  The lock is
-        reentrant, so callers already inside it can use this directly.
+        Returns the canonical pair, or None when it was already known.
         """
         if a == b:
             raise ValueError(f"must-link pair of {a!r} with itself")
         pair = (a, b) if a < b else (b, a)
         with self._lock:
             if pair in self._must_pairs:
-                return False
+                return None
             self._must_pairs.add(pair)
             self._must_by_member.setdefault(pair[0], []).append(pair[1])
             self._must_by_member.setdefault(pair[1], []).append(pair[0])
+        return pair
+
+    def _apply_must_link(self, a: str, b: str) -> bool:
+        """Register a must-link pair; union it if both sides are present.
+
+        Returns False when the pair was already known.  The lock is
+        reentrant, so callers already inside it can use this directly.
+        """
+        with self._lock:
+            pair = self._register_must_link(a, b)
+            if pair is None:
+                return False
             if pair[0] in self._records and pair[1] in self._records:
                 self._uf.union(pair[0], pair[1])
         return True
@@ -366,27 +385,8 @@ class ResolutionStore:
                 # Write-ahead: the record is acknowledged before any of its
                 # comparisons run, so a crash mid-comparison leaves it
                 # journaled-but-uncommitted and ``recover`` finishes it.
-                self._journal.append(
-                    {
-                        "type": "record",
-                        "record_id": record.record_id,
-                        "description": record.description,
-                        "attributes": dict(record.attributes),
-                    }
-                )
-            candidates, calls, skipped, merges = self._decide_candidates(record)
-            if self._journal is not None:
-                self._journal.append(
-                    {
-                        "type": "commit",
-                        "record_id": record.record_id,
-                        "candidates": candidates,
-                        "engine_calls": calls,
-                        "short_circuited": skipped,
-                    }
-                )
-            with self._lock:
-                self._committed.add(record.record_id)
+                self._journal.append({"type": "record", **_record_entry(record)})
+            candidates, calls, skipped, merges = self._finish(record)
         finally:
             with self._lock:
                 self._inflight -= 1
@@ -483,14 +483,7 @@ class ResolutionStore:
                 # decision is visible in memory it must survive a crash.
                 for _, decision in decided:
                     self._journal.append(
-                        {
-                            "type": "decision",
-                            "left": decision.left,
-                            "right": decision.right,
-                            "match": decision.match,
-                            "score": decision.score,
-                            "source": decision.source,
-                        }
+                        {"type": "decision", **decision.as_entry()}
                     )
             with self._lock:
                 self.engine_calls += len(results)
@@ -562,23 +555,12 @@ class ResolutionStore:
                 "seq": self.journal_seq(),
                 "records": [
                     {
-                        "record_id": record.record_id,
-                        "description": record.description,
-                        "attributes": dict(record.attributes),
+                        **_record_entry(record),
                         "committed": record.record_id in self._committed,
                     }
                     for record in self._records.values()
                 ],
-                "decisions": [
-                    {
-                        "left": d.left,
-                        "right": d.right,
-                        "match": d.match,
-                        "score": d.score,
-                        "source": d.source,
-                    }
-                    for d in self._decisions
-                ],
+                "decisions": [d.as_entry() for d in self._decisions],
                 "must_link": [list(pair) for pair in sorted(self._must_pairs)],
                 "cannot_link": [list(pair) for pair in self.cannot_link],
                 # Materialized partition: restore loads this directly
@@ -779,14 +761,14 @@ class ResolutionStore:
                 path=path,
                 lineno=1,
             )
-        records = [
-            Record(
-                record_id=str(entry["record_id"]),
-                attributes=dict(entry.get("attributes") or {}),
-                description=str(entry["description"]),
+        components = state.get("components")
+        if components is None:
+            raise JournalError(
+                f"{path}: snapshot has no materialized components",
+                path=path,
+                lineno=1,
             )
-            for entry in state["records"]
-        ]
+        records = [_record_from(entry) for entry in state["records"]]
         committed = {
             str(entry["record_id"])
             for entry in state["records"]
@@ -810,7 +792,6 @@ class ResolutionStore:
                 (left, right) if left <= right else (right, left)
             )
         index_state = index_meta.get("state")
-        components = state.get("components")
         with self._lock:
             for record in records:
                 self._records[record.record_id] = record
@@ -823,33 +804,14 @@ class ResolutionStore:
                 # tokenization/hashing again).
                 for record in records:
                     self._index.add(record.record_id, record.description)
-            if components is not None:
-                # Materialized partition: load it flat and register the
-                # must-link bookkeeping without re-running a union per
-                # pair — connectivity is already in the components.
-                self._uf.restore_state(components)
-                for entry in state.get("must_link", []):
-                    a, b = str(entry[0]), str(entry[1])
-                    pair = (a, b) if a < b else (b, a)
-                    if pair in self._must_pairs:
-                        continue
-                    self._must_pairs.add(pair)
-                    self._must_by_member.setdefault(pair[0], []).append(pair[1])
-                    self._must_by_member.setdefault(pair[1], []).append(pair[0])
-                self._decisions.extend(decisions)
-                self._compared.update(decision_keys)
-            else:
-                # Pre-components snapshot: re-derive the partition by
-                # replaying unions the way journal replay would.
-                for record in records:
-                    self._uf.add(record.record_id)
-                for pair in state.get("must_link", []):
-                    self._apply_must_link(str(pair[0]), str(pair[1]))
-                for decision in decisions:
-                    self._decisions.append(decision)
-                    self._compared.add(decision.key)
-                    if self.mode == "transitive" and decision.match:
-                        self._uf.union(decision.left, decision.right)
+            # Materialized partition: load it flat and register the
+            # must-link bookkeeping without re-running a union per pair —
+            # connectivity is already in the components.
+            self._uf.restore_state(components)
+            for a, b in state.get("must_link", []):
+                self._register_must_link(str(a), str(b))
+            self._decisions.extend(decisions)
+            self._compared.update(decision_keys)
             self._committed |= committed
             self.engine_calls = int(state.get("engine_calls", len(decisions)))
             self.short_circuited = int(state.get("short_circuited", 0))
@@ -877,13 +839,7 @@ class ResolutionStore:
         for entry in entries:
             kind = entry.get("type")
             if kind == "record":
-                records.append(
-                    Record(
-                        record_id=str(entry["record_id"]),
-                        attributes=dict(entry.get("attributes") or {}),
-                        description=str(entry["description"]),
-                    )
-                )
+                records.append(_record_from(entry))
             elif kind == "decision":
                 decisions.append(
                     PairDecision(
@@ -931,15 +887,17 @@ class ResolutionStore:
             r for r in (*pending, *records) if r.record_id not in committed
         ]
 
-    def _finish(self, record: Record) -> None:
-        """Complete one journaled-but-uncommitted record after recovery.
+    def _finish(self, record: Record) -> tuple[int, int, int, list]:
+        """Decide one indexed record's pairs, then journal its commit.
 
-        The per-record counters restart from the resume point; pairs the
-        crashed run short-circuited (never journaled) are re-examined and
-        re-skipped here, so the store-level totals still match an
-        uninterrupted run's.
+        Returns :meth:`_decide_candidates`'s counts.  Used by
+        :meth:`ingest` and to complete journaled-but-uncommitted records
+        after recovery; there the per-record counters restart from the
+        resume point, and pairs the crashed run short-circuited (never
+        journaled) are re-examined and re-skipped, so the store-level
+        totals still match an uninterrupted run's.
         """
-        candidates, calls, skipped, _ = self._decide_candidates(record)
+        candidates, calls, skipped, merges = self._decide_candidates(record)
         if self._journal is not None:
             self._journal.append(
                 {
@@ -952,6 +910,7 @@ class ResolutionStore:
             )
         with self._lock:
             self._committed.add(record.record_id)
+        return candidates, calls, skipped, merges
 
     # --------------------------------------------------------------- read-outs
 
@@ -984,13 +943,8 @@ class ResolutionStore:
             decisions = tuple(self._decisions)
         must = self._present_constraints(self.must_link)
         cannot = self._present_constraints(self.cannot_link)
-        if self.mode == "transitive":
-            return transitive_closure(
-                elements, decisions, must_link=must, cannot_link=cannot
-            )
-        return correlation_cluster(
-            elements, decisions, must_link=must, cannot_link=cannot,
-            min_agreement=self.min_agreement,
+        return cluster(
+            self.mode, elements, decisions, must, cannot, self.min_agreement
         )
 
     def golden_records(self) -> dict[str, Record]:

@@ -23,12 +23,7 @@ from repro.blocking.base import BlockingResult
 from repro.datasets.schema import Record, Split
 from repro.engine.engine import MatchingEngine
 from repro.resolve.canonical import golden_records
-from repro.resolve.clusterer import (
-    Clustering,
-    PairDecision,
-    correlation_cluster,
-    transitive_closure,
-)
+from repro.resolve.clusterer import Clustering, PairDecision, cluster
 from repro.resolve.incremental import decision_score
 from repro.resolve.uf import UnionFind
 
@@ -93,8 +88,8 @@ def resolve_blocking(
     the exact order :meth:`MatchingEngine.match_blocking` uses — so with
     ``short_circuit=False`` the engine sees a pair-for-pair identical
     workload.  The final clustering is rebuilt from the collected
-    decisions via :func:`transitive_closure` / :func:`correlation_cluster`,
-    so the on-line union-find here is *only* a short-circuiting aid.
+    decisions via :func:`~repro.resolve.clusterer.cluster`, so the on-line
+    union-find here is *only* a short-circuiting aid.
     """
     if mode not in ("transitive", "correlation"):
         raise ValueError(f"unknown resolution mode {mode!r}")
@@ -159,15 +154,7 @@ def resolve_blocking(
             flush()
     flush()
 
-    if mode == "transitive":
-        clustering = transitive_closure(
-            elements, decisions, must_link=must, cannot_link=cannot
-        )
-    else:
-        clustering = correlation_cluster(
-            elements, decisions, must_link=must, cannot_link=cannot,
-            min_agreement=min_agreement,
-        )
+    clustering = cluster(mode, elements, decisions, must, cannot, min_agreement)
     return ResolutionReport(
         clustering=clustering,
         decisions=tuple(sorted(decisions, key=lambda d: (d.key, d.source))),

@@ -32,9 +32,9 @@ global decision set plus user constraints — is byte-identical for every
 shard count, insertion order, and kill/resume schedule.  See DESIGN.md
 §18 for the worked argument.
 
-**Cross-shard merge queue.**  Each positive decision is enqueued on a
-FIFO :class:`MergeQueue` and delivered — deterministically, in decision
-order, to co-owning shards in ascending shard order — as an idempotent
+**Cross-shard merge delivery.**  Each positive decision is delivered
+as soon as its shard returns it — deterministically, in decision order,
+to co-owning shards in ascending shard order — as an idempotent
 journaled must-link (:meth:`ResolutionStore.add_must_link`).  Delivery
 never changes the clustering (the pair is already a global positive
 edge); it teaches sibling shards about connectivity they did not decide
@@ -50,7 +50,7 @@ wait in a per-shard backlog.  :meth:`resume_shard` recovers the shard
 from its journal (snapshot-aware, torn-tail repairing), re-drains
 merges, and replays the backlog.  :meth:`recover` rebuilds the whole
 fleet, repairing and replaying **all shards concurrently** before one
-final merge drain.
+final re-drain.
 
 The wrapper itself is synchronized externally (one ingesting driver);
 the per-shard stores keep their own locks, so reads and recovery can
@@ -59,28 +59,21 @@ still overlap shard-internally.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro._util import stable_hash
-from repro.concurrency import guarded_by, idempotent, shutdown_order
+from repro.concurrency import idempotent
 from repro.datasets.schema import Record
 from repro.engine.engine import MatchingEngine
 from repro.index.protocol import CandidateIndex
 from repro.resolve.canonical import golden_records
-from repro.resolve.clusterer import (
-    Clustering,
-    PairDecision,
-    correlation_cluster,
-    transitive_closure,
-)
+from repro.resolve.clusterer import Clustering, PairDecision, cluster
 from repro.resolve.incremental import ResolutionStore, TokenCandidateIndex
 
 __all__ = [
-    "MergeQueue",
     "ShardedIngestResult",
     "ShardedResolutionStore",
     "route_record",
@@ -111,66 +104,6 @@ def route_record(
     return tuple(sorted({key % shards for key in keys}))
 
 
-class MergeQueue:
-    """Deterministic FIFO of cross-shard merge events.
-
-    Holds ``(source_shard, (left, right))`` tuples in enqueue order;
-    :meth:`drain` pops them in that order and hands each to the delivery
-    callback exactly once.  The queue is the ordering rule, not the
-    idempotence: re-delivery is made harmless by the receiving shard's
-    ``add_must_link`` dedup, which is what lets recovery re-drain whole
-    decision histories.
-    """
-
-    _pending: Annotated["list[tuple[int, tuple[str, str]]]", guarded_by("_lock")]
-    _closed: Annotated[bool, guarded_by("_lock")]
-
-    def __init__(
-        self, deliver: Callable[[int, tuple[str, str]], None]
-    ) -> None:
-        self._deliver = deliver
-        self._lock = threading.Lock()
-        self._pending = []
-        self._closed = False
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
-    def enqueue(self, source: int, pair: tuple[str, str]) -> None:
-        """Queue one merge decided by *source* for cross-shard delivery."""
-        with self._lock:
-            if self._closed:
-                raise ValueError("merge queue is closed")
-            self._pending.append((source, pair))
-
-    def drain(self) -> int:
-        """Deliver every queued merge in FIFO order; returns the count.
-
-        Delivery happens outside the queue lock (it journals into other
-        shards); merges enqueued *by* a delivery would be picked up by
-        the loop, though must-link application never produces new
-        merges.
-        """
-        delivered = 0
-        while True:
-            with self._lock:
-                if not self._pending:
-                    return delivered
-                batch = self._pending[:]
-                del self._pending[:]
-            for source, pair in batch:
-                self._deliver(source, pair)
-                delivered += 1
-
-    @idempotent
-    def close(self) -> None:
-        """Drain any queued merges and refuse further enqueues."""
-        self.drain()
-        with self._lock:
-            self._closed = True
-
-
 @dataclass(frozen=True)
 class ShardedIngestResult:
     """What one sharded ``ingest`` call did, aggregated over owner shards."""
@@ -193,9 +126,6 @@ class ShardedResolutionStore:
     """K independent journal-backed resolution shards behind one façade."""
 
     _shards: "list[ResolutionStore | None]"
-    _merges: MergeQueue
-    #: drain pending cross-shard merges before the shard journals close.
-    __shutdown_order__ = shutdown_order("_merges", "_shards")
 
     def __init__(
         self,
@@ -204,7 +134,6 @@ class ShardedResolutionStore:
         shards: int = 4,
         mode: str = "transitive",
         index_factory: Callable[[], CandidateIndex] | None = None,
-        min_shared: int = 1,
         min_agreement: float = 0.5,
         chunk_size: int = 32,
         short_circuit: bool = True,
@@ -217,11 +146,7 @@ class ShardedResolutionStore:
         self.directory = Path(directory)
         self.shards = shards
         self.mode = mode
-        self._index_factory = (
-            index_factory
-            if index_factory is not None
-            else (lambda: TokenCandidateIndex(min_shared=min_shared))
-        )
+        self._index_factory = index_factory or TokenCandidateIndex
         #: routing-only index instance — never ingested into; its
         #: ``blocking_keys`` must be a pure function of the description,
         #: which every CandidateIndex implementation guarantees.
@@ -249,7 +174,6 @@ class ShardedResolutionStore:
                 )
                 for i in range(shards)
             ]
-        self._merges = MergeQueue(self._deliver)
         #: records routed to a dead shard, replayed on resume (in order).
         self._backlog: dict[int, list[Record]] = {i: [] for i in range(shards)}
         #: replication set per record id (pure function of the
@@ -328,14 +252,11 @@ class ShardedResolutionStore:
             candidates += result.candidates
             engine_calls += result.engine_calls
             short_circuited += result.short_circuited
-            if self.mode == "transitive":
-                for pair in result.merges:
-                    if pair not in merges:
-                        merges.append(pair)
-                    self._merges.enqueue(owner, pair)
-                self._merges.drain()
-            else:
-                merges.extend(p for p in result.merges if p not in merges)
+            for pair in result.merges:
+                if pair not in merges:
+                    merges.append(pair)
+                if self.mode == "transitive":
+                    self._deliver(owner, pair)
         return ShardedIngestResult(
             record_id=record.record_id,
             owners=owners,
@@ -418,8 +339,7 @@ class ShardedResolutionStore:
                 result = store.ingest(record)
                 if self.mode == "transitive":
                     for pair in result.merges:
-                        self._merges.enqueue(shard, pair)
-                    self._merges.drain()
+                        self._deliver(shard, pair)
 
     def _redrain(self) -> None:
         """Re-deliver positive decisions a shard is actually missing.
@@ -428,7 +348,7 @@ class ShardedResolutionStore:
         ascending order, decisions in canonical order), and the recovery
         counterpart of per-ingest delivery: it repairs any must-link a
         shard missed while it was dead.  Incremental: the decision
-        history is consulted in full, but a pair is only enqueued when
+        history is consulted in full, but a pair is only delivered when
         some live co-owner does not already know it — after a clean
         recovery that is zero deliveries, so re-drain cost tracks the
         missing knowledge, not the history length.
@@ -460,10 +380,9 @@ class ShardedResolutionStore:
                     if pairs is None or key in pairs:
                         continue
                     # _deliver fans out to every live co-owner, so one
-                    # enqueue per missing pair is enough.
-                    self._merges.enqueue(owner, key)
+                    # delivery per missing pair is enough.
+                    self._deliver(owner, key)
                     break
-        self._merges.drain()
 
     @classmethod
     def recover(
@@ -477,7 +396,7 @@ class ShardedResolutionStore:
 
         Every shard journal repairs its torn tail, loads its snapshot,
         and replays its suffix **concurrently** (they are independent
-        files and independent stores); one merge-queue drain afterwards
+        files and independent stores); one re-drain afterwards
         restores cross-shard connectivity knowledge.  ``shards`` defaults
         to the number of ``shard-*.journal`` files present.
         """
@@ -487,13 +406,7 @@ class ShardedResolutionStore:
             if shards == 0:
                 raise ValueError(f"no shard journals under {directory}")
         engine_list = cls._spread_engines(engines, shards)
-        index_factory = kwargs.get("index_factory")
-        min_shared = int(kwargs.get("min_shared", 1))  # type: ignore[call-overload]
-        factory: Callable[[], CandidateIndex] = (
-            index_factory  # type: ignore[assignment]
-            if index_factory is not None
-            else (lambda: TokenCandidateIndex(min_shared=min_shared))
-        )
+        factory = kwargs.get("index_factory") or TokenCandidateIndex
         store_kwargs = {
             key: kwargs[key]
             for key in (
@@ -508,7 +421,7 @@ class ShardedResolutionStore:
             recovered[i] = ResolutionStore.recover(
                 shard_journal_path(directory, i),
                 engine_list[i],
-                index=factory(),
+                index=factory(),  # type: ignore[operator]
                 journal_meta={"shard": i, "shards": shards},
                 **store_kwargs,  # type: ignore[arg-type]
             )
@@ -534,8 +447,7 @@ class ShardedResolutionStore:
 
     @idempotent
     def close(self) -> None:
-        """Drain pending merges, then close every live shard journal."""
-        self._merges.close()
+        """Close every live shard journal."""
         for shard in self._shards:
             if shard is not None:
                 shard.close()
@@ -597,13 +509,9 @@ class ShardedResolutionStore:
             for a, b in self._store_kwargs["cannot_link"]
             if a in present and b in present
         )
-        if self.mode == "transitive":
-            return transitive_closure(
-                elements, decisions, must_link=must, cannot_link=cannot
-            )
-        return correlation_cluster(
-            elements, decisions, must_link=must, cannot_link=cannot,
-            min_agreement=float(self._store_kwargs["min_agreement"]),
+        return cluster(
+            self.mode, elements, decisions, must, cannot,
+            float(self._store_kwargs["min_agreement"]),
         )
 
     def golden_records(self) -> "dict[str, Record]":

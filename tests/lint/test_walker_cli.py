@@ -92,24 +92,6 @@ class TestCli:
         assert main(["lint", "--rule", "fallback-cache", BAD_FIXTURE]) == 0
 
 
-class TestParallel:
-    def test_threaded_run_matches_serial_byte_for_byte(self, repo_root):
-        serial = run_lint(repo_root, paths=[BAD_FIXTURE, CLEAN_FIXTURE], jobs=1)
-        threaded = run_lint(repo_root, paths=[BAD_FIXTURE, CLEAN_FIXTURE], jobs=4)
-        assert serial  # the comparison must not pass vacuously
-        assert format_json(serial) == format_json(threaded)
-
-    def test_threaded_whole_tree_matches_serial(self, repo_root):
-        serial = run_lint(repo_root, paths=list(DEFAULT_ROOTS))
-        threaded = run_lint(repo_root, paths=list(DEFAULT_ROOTS), jobs=8)
-        assert format_json(serial) == format_json(threaded)
-
-    def test_jobs_one_and_none_are_equivalent(self, repo_root):
-        assert run_lint(repo_root, paths=[BAD_FIXTURE], jobs=None) == run_lint(
-            repo_root, paths=[BAD_FIXTURE], jobs=1
-        )
-
-
 class TestChangedFiles:
     @staticmethod
     def _git(repo, *argv):
@@ -164,10 +146,6 @@ class TestCliScoping:
         # so the scoped run agrees with the whole-tree run above.
         assert main(["lint", "--changed-only"]) == 0
         assert "findings" in capsys.readouterr().out
-
-    def test_jobs_flag_smoke(self, capsys):
-        assert main(["lint", "--jobs", "2", BAD_FIXTURE]) == 1
-        assert "bad_determinism.py" in capsys.readouterr().out
 
 
 class TestFindingRendering:

@@ -7,6 +7,7 @@ from repro.resolve import (
     Clustering,
     PairDecision,
     ResolutionError,
+    cluster,
     correlation_cluster,
     transitive_closure,
 )
@@ -163,3 +164,24 @@ class TestCorrelationCluster:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ResolutionError):
             correlation_cluster(ELEMENTS, [], min_agreement=1.5)
+
+
+class TestClusterDispatch:
+    DECISIONS = [_yes("a", "b"), _no("a", "b"), _no("b", "a"), _yes("b", "c")]
+
+    def test_modes_route_to_their_functions(self):
+        # The a~b evidence is 1 yes vs 2 noes: transitive closure merges
+        # it, correlation clustering vetoes it, so the modes differ here.
+        assert cluster("transitive", ELEMENTS, self.DECISIONS) == (
+            transitive_closure(ELEMENTS, self.DECISIONS)
+        )
+        assert cluster(
+            "correlation", ELEMENTS, self.DECISIONS, min_agreement=0.5
+        ) == correlation_cluster(ELEMENTS, self.DECISIONS, min_agreement=0.5)
+        assert cluster("transitive", ELEMENTS, self.DECISIONS) != cluster(
+            "correlation", ELEMENTS, self.DECISIONS
+        )
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown resolution mode"):
+            cluster("greedy", ELEMENTS, [])

@@ -1,0 +1,88 @@
+"""Golden durability bytes: journal and snapshot files are pinned by digest.
+
+Journals and snapshots are the store's on-disk contract — a recovered
+store, a compacted journal, and any external reader all depend on their
+exact bytes.  These digests pin them for three representative stores
+built from the same seeded workload, so a refactor of the encoders
+(record, decision, must-link, components, index state) cannot drift the
+format silently.  If a digest changes on purpose, the format changed:
+bump the journal/snapshot version and regenerate the digests.
+"""
+
+import hashlib
+
+from repro.engine import MatchingEngine
+from repro.engine.retry import RetryPolicy
+from repro.faults import ParityBackend, synthetic_records
+from repro.index import MinHashCandidateIndex
+from repro.resolve import ResolutionStore, TokenCandidateIndex
+from repro.resolve.sharded import ShardedResolutionStore
+from repro.resolve.snapshot import snapshot_path_for
+
+RECORDS = synthetic_records(40, seed=3)
+
+
+def make_engine():
+    return MatchingEngine(
+        backend=ParityBackend(), retry=RetryPolicy(timeout=1.0, seed=0)
+    )
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def store_digests(tmp_path, index):
+    """Journal + snapshot digests of a store with both must-link kinds.
+
+    Thirty records go in, a runtime must-link is added, the store is
+    checkpointed, and the last ten records land in the journal suffix.
+    """
+    path = tmp_path / "wal.jsonl"
+    with ResolutionStore(
+        make_engine(),
+        index=index,
+        journal=path,
+        must_link=[("r001", "r038")],
+    ) as store:
+        store.ingest_all(RECORDS[:30])
+        assert store.add_must_link("r004", "r027")
+        store.snapshot()
+        store.ingest_all(RECORDS[30:])
+    return {
+        "journal": sha256(path),
+        "snapshot": sha256(snapshot_path_for(path)),
+    }
+
+
+class TestDurabilityGolden:
+    def test_token_index_store(self, tmp_path):
+        assert store_digests(tmp_path, TokenCandidateIndex()) == {
+            "journal": "c91efc7dadbb7d7835a6b728b566eedcc0d73d77cfc49559d8203feaae27030e",
+            "snapshot": "7561c062fe3fbf71e563abde30bc8bca086679c07910d4f68786ea73d4f2f5ed",
+        }
+
+    def test_minhash_index_store(self, tmp_path):
+        assert store_digests(tmp_path, MinHashCandidateIndex()) == {
+            "journal": "3994755b988d8b41b3c07d9162d46f6b0e016421064ca87fded7964f2e27f43c",
+            "snapshot": "774a031ce9d515b633ac7644bb68aa30283066c56f2d8e012eafe8c4f07cf7a0",
+        }
+
+    def test_sharded_directory(self, tmp_path):
+        with ShardedResolutionStore(
+            make_engine(), tmp_path, shards=3
+        ) as store:
+            store.ingest_all(RECORDS[:30])
+            store.snapshot()
+            store.ingest_all(RECORDS[30:])
+        digests = {
+            path.name: sha256(path) for path in sorted(tmp_path.iterdir())
+        }
+        assert digests == {
+            "shard-000.journal": "b76824fe31858145e66023563288ac22187679628e6d5e5cc0bb5641518e8ef0",
+            "shard-000.journal.snapshot": "a3c2deede011c6ff3d301928adfd16827a88589bec2da3284e768945e62398eb",
+            "shard-001.journal": "3ba8fa29b3e36eff24ee9ff8f58297390d4df86ca802f59ec6786590e0367314",
+            "shard-001.journal.snapshot": "f6e2cd5abd4d624be4ae0ea46f7523ea2d018008447102058bcfa0a34e1015e9",
+            "shard-002.journal": "11f166df0f06f890f44d4a2efc53cc0d5bdbcbd7e8ced1507d5af7f9cfcea06a",
+            "shard-002.journal.snapshot": "c5b94fd08b0b45cb84ee80b2cf1df6be7c0bffdf726df3545cb9f782618db862",
+        }

@@ -16,7 +16,6 @@ from repro.faults.harness import resolution_snapshot
 from repro.index import MinHashCandidateIndex
 from repro.resolve import ResolutionStore, TokenCandidateIndex
 from repro.resolve.sharded import (
-    MergeQueue,
     ShardedResolutionStore,
     route_record,
     shard_journal_path,
@@ -277,35 +276,10 @@ class TestKillResume:
         assert view["golden"] == reference["golden"]
 
 
-class TestMergeQueue:
-    def test_fifo_delivery_order(self):
-        delivered = []
-        queue = MergeQueue(lambda source, pair: delivered.append((source, pair)))
-        queue.enqueue(0, ("a", "b"))
-        queue.enqueue(1, ("c", "d"))
-        queue.enqueue(0, ("e", "f"))
-        assert len(queue) == 3
-        assert queue.drain() == 3
-        assert delivered == [(0, ("a", "b")), (1, ("c", "d")), (0, ("e", "f"))]
-        assert len(queue) == 0
-
-    def test_closed_queue_refuses_enqueue(self):
-        queue = MergeQueue(lambda source, pair: None)
-        queue.close()
-        with pytest.raises(ValueError, match="closed"):
-            queue.enqueue(0, ("a", "b"))
-
-    def test_close_drains_pending_and_is_idempotent(self):
-        delivered = []
-        queue = MergeQueue(lambda source, pair: delivered.append(pair))
-        queue.enqueue(0, ("a", "b"))
-        queue.close()
-        queue.close()  # second close is a no-op, not an error
-        assert delivered == [("a", "b")]
-
+class TestRedrain:
     def test_redrain_after_clean_recovery_delivers_nothing(self, tmp_path):
         # The incremental re-drain contract: once every shard already
-        # knows every cross-shard pair, recovery enqueues zero merges.
+        # knows every cross-shard pair, recovery delivers zero merges.
         with ShardedResolutionStore(
             make_engine(), tmp_path, shards=4
         ) as store:
@@ -315,9 +289,7 @@ class TestMergeQueue:
         )
         try:
             delivered = []
-            recovered._merges._deliver = (
-                lambda source, pair: delivered.append(pair)
-            )
+            recovered._deliver = lambda source, pair: delivered.append(pair)
             recovered._redrain()
             assert delivered == []
         finally:

@@ -285,21 +285,17 @@ class TestComponentsField:
             map(sorted, clusters)
         )
 
-    def test_pre_components_snapshot_still_recovers(self, tmp_path):
-        # Forward compatibility with snapshots taken before the partition
-        # was materialized: recovery falls back to replaying unions.
+    def test_snapshot_without_components_rejected(self, tmp_path):
+        # Every snapshot materializes the partition; one without it is
+        # not a format this store writes, so recovery refuses it.
         path = tmp_path / "wal.jsonl"
         store = journaled_store(path)
         store.ingest_all(synthetic_records(12))
-        reference = resolution_snapshot(store)
         store.snapshot()
         store.close()
         snap_path = snapshot_path_for(path)
         doc = json.loads(snap_path.read_text())
         del doc["components"]
         write_snapshot_doc(snap_path, doc)
-        recovered = ResolutionStore.recover(path, make_engine())
-        try:
-            assert resolution_snapshot(recovered) == reference
-        finally:
-            recovered.close()
+        with pytest.raises(JournalError, match="components"):
+            ResolutionStore.recover(path, make_engine())
