@@ -16,10 +16,11 @@ evaluator applies to hedged answers, instead of failing the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.engine.retry import BackendError
+from repro.llm.features import FeatureMemo
 from repro.llm.model import ChatModel, build_model
 from repro.serving.batch_api import BatchAPI, BatchRequest
 from repro.serving.local_runner import LocalRunner
@@ -51,6 +52,10 @@ class ModelBackend:
 
     model: ChatModel
     name: str = ""
+    #: per-description feature views of this backend's model calls.
+    memo: FeatureMemo = field(
+        init=False, default_factory=FeatureMemo, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -58,7 +63,7 @@ class ModelBackend:
 
     def generate(self, prompts: list[str]) -> list[str]:
         try:
-            return [self.model.complete(p) for p in prompts]
+            return self.model.complete_batch(prompts, self.memo)
         except BackendError:
             raise
         # repro-lint: disable=broad-except — transport boundary: any model

@@ -19,18 +19,23 @@ All features are in ``[0, 1]``.  The final component is a constant bias.
 
 from __future__ import annotations
 
+import math
 import re
 from difflib import SequenceMatcher
+from typing import Iterable
 
 import numpy as np
 
 from repro.datasets.schema import EntityPair
-from repro.llm.tokenizer import char_ngrams, levenshtein, tokenize
+from repro.llm.tokenizer import tokenize
 
 __all__ = [
     "FEATURE_NAMES",
     "FEATURE_GROUPS",
     "NUM_FEATURES",
+    "FeatureMemo",
+    "RecordView",
+    "combine_views",
     "featurize_pair",
     "featurize_pairs",
     "featurize_texts",
@@ -122,12 +127,6 @@ def _containment(a: set, b: set) -> float:
     return len(a & b) / min(len(a), len(b))
 
 
-def _is_code(token: str) -> bool:
-    has_alpha = any(c.isalpha() for c in token)
-    has_digit = any(c.isdigit() for c in token)
-    return (has_alpha and has_digit) or (token.isdigit() and 2 <= len(token) <= 4)
-
-
 def _last_names(field: str) -> set[str]:
     parts = re.split(r"[,;]| and ", field)
     names: set[str] = set()
@@ -158,167 +157,332 @@ def _venue_key(field: str) -> str | None:
     return None
 
 
-def _expand(tokens: list[str]) -> set[str]:
-    """Token set plus sub-tokens of compounds ('pg-730' → 'pg', '730').
+# --------------------------------------------------------------- record views
+#
+# Featurization is split in two: a per-description *view* holding every
+# quantity that depends on one side only, and a pair-combine step that
+# reads two views.  Each feature is a function of per-side sets (or of
+# their intersection), and category membership (code, rare, numeric, ...)
+# is a property of the token string alone, so a view stores its expanded
+# token set once with one category byte per token; the combine step
+# intersects the two token sets once and counts the shared tokens' bytes
+# per category.
 
-    Identifying evidence frequently appears joined in one listing and
-    separated in another; comparing on the expanded set recovers it.
+#: category bits of one expanded token, in the order of ``_counts``.
+_CODE, _RARE, _NUM, _LONG, _VER, _UNIT = 1, 2, 4, 8, 16, 32
+_CATEGORIES = (_CODE, _RARE, _NUM, _LONG, _VER, _UNIT)
+_SPLIT_RE = re.compile(r"[-/]")
+#: one empty set shared by every view (``frozenset()`` builds a new one).
+_EMPTY: frozenset = frozenset()
+
+# combine_views lays a row out by position: 11 generic features, 11
+# product/software, 10 scholar, then the bias.
+_PRODUCT = FEATURE_NAMES[11:22]
+_SCHOLAR = FEATURE_NAMES[22:32]
+assert all(FEATURE_GROUPS[n] == "generic" for n in FEATURE_NAMES[:11])
+assert all(FEATURE_GROUPS[n] in ("product", "software") for n in _PRODUCT)
+assert all(FEATURE_GROUPS[n] == "scholar" for n in _SCHOLAR)
+assert FEATURE_NAMES[32:] == ("bias",)
+
+
+def _counts(flags: Iterable[int]) -> tuple[int, ...]:
+    """Per category (code, rare, numeric, long, version, unit): how many
+    of the category bytes *flags* carry its bit."""
+    return tuple(sum(1 for f in flags if f & bit) for bit in _CATEGORIES)
+
+
+def _grams(padded: str) -> set[str]:
+    """The character 3-grams of a padded token text."""
+    return {padded[i: i + 3] for i in range(len(padded) - 2)}
+
+
+class RecordView:
+    """Everything featurization needs from one description.
+
+    Built once per description and combined with another view by
+    :func:`combine_views`.  Views are immutable and compact: no view
+    holds the character 3-gram set or difflib's index of the second
+    sequence, which would each cost more than the rest of the view (both
+    are rebuilt per pair).
     """
-    out: set[str] = set(tokens)
-    for token in tokens:
-        if "-" in token or "/" in token:
-            out.update(p for p in re.split(r"[-/]", token) if p)
-    return out
+
+    __slots__ = (
+        "padded", "n_grams", "joined", "n_tokens", "first", "tokens", "flags",
+        "counts", "editions", "skus", "scholar",
+    )
+
+    def __init__(self, description: str) -> None:
+        raw = tokenize(description)
+        # Identifying evidence frequently appears joined in one listing and
+        # separated in another ('pg-730' vs 'pg 730'); comparing on the set
+        # expanded with compound parts recovers it.
+        expanded = set(raw)
+        for token in raw:
+            if "-" in token or "/" in token:
+                expanded.update(p for p in _SPLIT_RE.split(token) if p)
+
+        # SKU-like identifiers are compared only via the dedicated sku
+        # features; leaving them in the general token sets would
+        # contaminate every overlap signal whenever one listing shows the
+        # SKU and the other does not.
+        skus = {t for t in expanded if t[0].isdigit() and _SKU_RE.match(t)}
+        tokens = raw
+        if skus:
+            sku_parts = {p for t in skus for p in _SPLIT_RE.split(t)} | skus
+            expanded -= sku_parts
+            tokens = [t for t in raw if t not in sku_parts]
+
+        #: the token text padded for character 3-grams (all tokens), and
+        #: the SKU-stripped token text difflib compares when it differs.
+        self.padded = f"  {' '.join(raw)}  "
+        self.n_grams = len(_grams(self.padded))
+        self.joined = " ".join(tokens) if skus else None
+        self.n_tokens = len(tokens)
+        self.first = tokens[0] if tokens else None
+
+        # One pass over the expanded set: each token's category byte.
+        # Tokens only hold [a-z0-9./-], so a token that is not all letters
+        # or all digits is the only one that needs a character scan.
+        flags, editions = bytearray(), None
+        for token in expanded:
+            size = len(token)
+            if token.isalpha():
+                flag = (_LONG if size >= 5 else 0) | (_RARE if size >= 8 else 0)
+                if token[0] == "x" and _VERSION_RE.match(token):
+                    flag |= _VER
+                canon = _EDITION_CANON.get(token)
+                if canon is not None:
+                    editions = editions or set()
+                    editions.add(canon)
+            else:
+                if token.isdigit():
+                    digit, code = True, 2 <= size <= 4
+                else:
+                    digit = any(c.isdigit() for c in token)
+                    code = digit and any(c.isalpha() for c in token)
+                flag = (_CODE | _RARE) if code else (_RARE if size >= 8 else 0)
+                if digit:
+                    flag |= _NUM
+                    if _VERSION_RE.match(token):
+                        flag |= _VER
+                    if _UNIT_RE.match(token):
+                        flag |= _UNIT
+            flags.append(flag)
+        self.tokens = tuple(expanded)
+        self.flags = bytes(flags)
+        self.counts = _counts(flags)
+        self.editions = frozenset(editions) if editions else _EMPTY
+        self.skus = frozenset(skus) if skus else _EMPTY
+
+        # Fielded (bibliographic) records: the scholar-subspace inputs.
+        self.scholar = None
+        if description.count(";") >= 2:
+            fields = [f.strip() for f in description.split(";")]
+            self.scholar = (
+                frozenset(_last_names(fields[0])),
+                frozenset(_initials(fields[0])),
+                frozenset(tokenize(fields[1])),
+                _venue_key(fields[2]),
+                next((t for t in tokenize(fields[-1]) if _YEAR_RE.match(t)), None),
+                "et al" in fields[0].lower(),
+            )
+
+
+def _ratio(shared: int, a: int, b: int) -> float:
+    """Jaccard index from the two set sizes and their intersection size."""
+    return shared / (a + b - shared) if a or b else 0.0
+
+
+def _conflict(a: int, b: int, shared: int) -> float:
+    return float(bool(a) and bool(b) and not shared)
+
+
+def _seq_ratio(a: str, b: str) -> float:
+    """``SequenceMatcher(None, a, b).ratio()``, computed with string search.
+
+    When *b* is shorter than 200 characters, difflib applies no junk
+    heuristic: its matching blocks come from splitting both strings at
+    their leftmost longest common substring (leftmost occurrence in *b*)
+    and recursing on both sides.  The search below finds that same
+    substring by growing a candidate length while a slice of *a* still
+    occurs in *b*: a few C-level substring searches instead of a Python
+    loop per character pair.  Longer *b* strings go to difflib itself.
+    """
+    if len(b) >= 200:
+        return SequenceMatcher(None, a, b).ratio()
+    total = 0
+    queue = [(0, len(a), 0, len(b))]
+    while queue:
+        alo, ahi, blo, bhi = queue.pop()
+        window = b[blo:bhi]
+        size = 0
+        start = i = alo
+        while i + size < ahi:
+            if a[i: i + size + 1] in window:
+                size += 1
+                start = i
+            else:
+                i += 1
+        if size:
+            total += size
+            j = window.find(a[start: start + size]) + blo
+            if alo < start and blo < j:
+                queue.append((alo, start, blo, j))
+            if start + size < ahi and j + size < bhi:
+                queue.append((start + size, ahi, j + size, bhi))
+    length = len(a) + len(b)
+    return 2.0 * total / length if length else 1.0
+
+
+def _within_one_edit(a: str, b: str) -> bool:
+    """``levenshtein(a, b) <= 1``, decided by one scan from the left."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(b) - len(a) > 1:
+        return False
+    i = 0
+    while i < len(a) and a[i] == b[i]:
+        i += 1
+    if len(a) == len(b):
+        return a[i + 1:] == b[i + 1:]
+    return a[i:] == b[i + 1:]
+
+
+def _text(view: RecordView) -> str:
+    return view.padded[2:-2] if view.joined is None else view.joined
+
+
+def combine_views(a: RecordView, b: RecordView) -> list[float]:
+    """The feature row of the pair (left view *a*, right view *b*)."""
+    small, big = (a, b) if len(a.tokens) <= len(b.tokens) else (b, a)
+    members = set(big.tokens)
+    shared = [f for t, f in zip(small.tokens, small.flags) if t in members]
+    s_code, s_rare, s_num, s_long, s_ver, s_unit = _counts(shared)
+    a_code, a_rare, a_num, a_long, a_ver, a_unit = a.counts
+    b_code, b_rare, b_num, b_long, b_ver, b_unit = b.counts
+
+    na, nb, s_tok = len(a.tokens), len(b.tokens), len(shared)
+    denom = math.sqrt(a.n_grams * b.n_grams)
+    row = [
+        _ratio(s_tok, na, nb),
+        s_tok / min(na, nb) if na and nb else 0.0,
+        len(_grams(a.padded) & _grams(b.padded)) / denom if denom else 0.0,
+        _seq_ratio(_text(a), _text(b)),
+        (min(a.n_tokens, b.n_tokens) / max(a.n_tokens, b.n_tokens)
+         if a.n_tokens and b.n_tokens else 0.0),
+        _ratio(s_rare, a_rare, b_rare),
+        _ratio(s_num, a_num, b_num),
+        _conflict(a_num, b_num, s_num),
+        float(not a_num and not b_num),
+        float(a.first == b.first) if a.n_tokens and b.n_tokens else 0.0,
+        _ratio(s_long, a_long, b_long),
+    ]
+
+    # Fielded (bibliographic) records do not carry model codes, versions
+    # or SKUs — digit tokens there are years/pages.  Computing product
+    # features on them would leak one domain's evidence slots into the
+    # other.
+    if a.scholar is not None and b.scholar is not None:
+        row += [0.0] * len(_PRODUCT)
+        row += _scholar_row(a.scholar, b.scholar)
+        row.append(1.0)
+        return row
+
+    near = 0.0
+    if a_code and b_code and not s_code:
+        codes_b = [t for t, f in zip(b.tokens, b.flags) if f & _CODE]
+        near = float(any(
+            _within_one_edit(cl, cr)
+            for cl, f in zip(a.tokens, a.flags) if f & _CODE
+            for cr in codes_b
+        ))
+    editions = a.editions & b.editions
+    skus = a.skus & b.skus
+    row += (
+        float(bool(s_code)),
+        _conflict(a_code, b_code, s_code),
+        near,
+        float(bool(s_ver)),
+        _conflict(a_ver, b_ver, s_ver),
+        float(bool(editions)),
+        _conflict(len(a.editions), len(b.editions), len(editions)),
+        float(bool(s_unit)),
+        _conflict(a_unit, b_unit, s_unit),
+        float(bool(skus)),
+        _conflict(len(a.skus), len(b.skus), len(skus)),
+    )
+    row += [0.0] * len(_SCHOLAR)
+    row.append(1.0)
+    return row
+
+
+def _scholar_row(a: tuple, b: tuple) -> tuple[float, ...]:
+    """The scholar-subspace features of a fielded record pair."""
+    names_a, initials_a, title_a, venue_a, year_a, etal_a = a
+    names_b, initials_b, title_b, venue_b, year_b, etal_b = b
+    venues = venue_a and venue_b
+    years = year_a and year_b
+    return (
+        1.0,
+        _jaccard(names_a, names_b),
+        _containment(initials_a, initials_b),
+        _jaccard(title_a, title_b),
+        _containment(title_a, title_b),
+        float(venue_a == venue_b) if venues else 0.0,
+        float(venue_a != venue_b) if venues else 0.0,
+        float(year_a == year_b) if years else 0.0,
+        float(year_a != year_b) if years else 0.0,
+        float(etal_a or etal_b),
+    )
 
 
 def featurize_pair(left: str, right: str) -> np.ndarray:
     """Compute the feature vector for two serialized entity descriptions."""
-    phi = np.zeros(NUM_FEATURES)
-
-    tokens_l, tokens_r = tokenize(left), tokenize(right)
-    set_l, set_r = _expand(tokens_l), _expand(tokens_r)
-
-    # SKU-like identifiers are compared only via the dedicated sku features;
-    # leaving them in the general token sets would contaminate every overlap
-    # signal whenever one listing shows the SKU and the other does not.
-    skus_l = {t for t in set_l if _SKU_RE.match(t)}
-    skus_r = {t for t in set_r if _SKU_RE.match(t)}
-    sku_parts_l = {p for t in skus_l for p in re.split(r"[-/]", t)} | skus_l
-    sku_parts_r = {p for t in skus_r for p in re.split(r"[-/]", t)} | skus_r
-    set_l -= sku_parts_l
-    set_r -= sku_parts_r
-    tokens_l = [t for t in tokens_l if t not in sku_parts_l]
-    tokens_r = [t for t in tokens_r if t not in sku_parts_r]
-
-    phi[_INDEX["token_jaccard"]] = _jaccard(set_l, set_r)
-    phi[_INDEX["token_containment"]] = _containment(set_l, set_r)
-
-    ngrams_l, ngrams_r = char_ngrams(left), char_ngrams(right)
-    inter = len(ngrams_l & ngrams_r)
-    denom = np.sqrt(len(ngrams_l) * len(ngrams_r))
-    phi[_INDEX["char3_cosine"]] = inter / denom if denom else 0.0
-
-    phi[_INDEX["seq_ratio"]] = SequenceMatcher(
-        None, " ".join(tokens_l), " ".join(tokens_r)
-    ).ratio()
-
-    if tokens_l and tokens_r:
-        phi[_INDEX["len_ratio"]] = min(len(tokens_l), len(tokens_r)) / max(
-            len(tokens_l), len(tokens_r)
-        )
-
-    codes_l = {t for t in set_l if _is_code(t)}
-    codes_r = {t for t in set_r if _is_code(t)}
-    rare_l = {t for t in set_l if len(t) >= 8} | codes_l
-    rare_r = {t for t in set_r if len(t) >= 8} | codes_r
-    phi[_INDEX["rare_token_overlap"]] = _jaccard(rare_l, rare_r)
-
-    nums_l = {t for t in set_l if any(c.isdigit() for c in t)}
-    nums_r = {t for t in set_r if any(c.isdigit() for c in t)}
-    phi[_INDEX["numeric_jaccard"]] = _jaccard(nums_l, nums_r)
-    phi[_INDEX["numeric_conflict"]] = float(
-        bool(nums_l) and bool(nums_r) and not (nums_l & nums_r)
-    )
-    phi[_INDEX["numeric_absent"]] = float(not nums_l and not nums_r)
-
-    if tokens_l and tokens_r:
-        phi[_INDEX["first_token_eq"]] = float(tokens_l[0] == tokens_r[0])
-
-    long_l = {t for t in set_l if len(t) >= 5 and t.isalpha()}
-    long_r = {t for t in set_r if len(t) >= 5 and t.isalpha()}
-    phi[_INDEX["long_token_overlap"]] = _jaccard(long_l, long_r)
-
-    # --- product subspace -------------------------------------------------
-    # Fielded (bibliographic) records do not carry model codes, versions or
-    # SKUs — digit tokens there are years/pages.  Computing product features
-    # on them would leak one domain's evidence slots into the other.
-    fields_l = [f.strip() for f in left.split(";")]
-    fields_r = [f.strip() for f in right.split(";")]
-    fielded = len(fields_l) >= 3 and len(fields_r) >= 3
-    if fielded:
-        phi[_INDEX["bias"]] = 1.0
-        _scholar_features(phi, fields_l, fields_r)
-        return phi
-
-    shared_codes = codes_l & codes_r
-    phi[_INDEX["code_match"]] = float(bool(shared_codes))
-    phi[_INDEX["code_conflict"]] = float(
-        bool(codes_l) and bool(codes_r) and not shared_codes
-    )
-    near = 0.0
-    if codes_l and codes_r and not shared_codes:
-        for cl in codes_l:
-            for cr in codes_r:
-                if levenshtein(cl, cr, cap=1) <= 1:
-                    near = 1.0
-                    break
-            if near:
-                break
-    phi[_INDEX["near_code_match"]] = near
-
-    vers_l = {t for t in set_l if _VERSION_RE.match(t)}
-    vers_r = {t for t in set_r if _VERSION_RE.match(t)}
-    phi[_INDEX["version_match"]] = float(bool(vers_l & vers_r))
-    phi[_INDEX["version_conflict"]] = float(
-        bool(vers_l) and bool(vers_r) and not (vers_l & vers_r)
-    )
-
-    eds_l = {_EDITION_CANON[t] for t in set_l if t in _EDITION_CANON}
-    eds_r = {_EDITION_CANON[t] for t in set_r if t in _EDITION_CANON}
-    phi[_INDEX["edition_match"]] = float(bool(eds_l & eds_r))
-    phi[_INDEX["edition_conflict"]] = float(
-        bool(eds_l) and bool(eds_r) and not (eds_l & eds_r)
-    )
-
-    units_l = {t for t in set_l if _UNIT_RE.match(t)}
-    units_r = {t for t in set_r if _UNIT_RE.match(t)}
-    phi[_INDEX["unit_spec_match"]] = float(bool(units_l & units_r))
-    phi[_INDEX["unit_spec_conflict"]] = float(
-        bool(units_l) and bool(units_r) and not (units_l & units_r)
-    )
-
-    phi[_INDEX["sku_match"]] = float(bool(skus_l & skus_r))
-    phi[_INDEX["sku_conflict"]] = float(
-        bool(skus_l) and bool(skus_r) and not (skus_l & skus_r)
-    )
-
-    phi[_INDEX["bias"]] = 1.0
-    return phi
+    return np.array(combine_views(RecordView(left), RecordView(right)))
 
 
-def _scholar_features(phi: np.ndarray, fields_l: list[str], fields_r: list[str]) -> None:
-    """Fill the scholar-subspace features of a fielded record pair."""
-    phi[_INDEX["fielded_both"]] = 1.0
-    phi[_INDEX["author_overlap"]] = _jaccard(
-        _last_names(fields_l[0]), _last_names(fields_r[0])
-    )
-    phi[_INDEX["author_initial_compat"]] = _containment(
-        _initials(fields_l[0]), _initials(fields_r[0])
-    )
-    title_l = set(tokenize(fields_l[1])) if len(fields_l) > 1 else set()
-    title_r = set(tokenize(fields_r[1])) if len(fields_r) > 1 else set()
-    phi[_INDEX["title_field_sim"]] = _jaccard(title_l, title_r)
-    phi[_INDEX["title_field_containment"]] = _containment(title_l, title_r)
+class FeatureMemo:
+    """Per-description views, owned by one engine for its lifetime.
 
-    venue_l = _venue_key(fields_l[2]) if len(fields_l) > 2 else None
-    venue_r = _venue_key(fields_r[2]) if len(fields_r) > 2 else None
-    if venue_l and venue_r:
-        phi[_INDEX["venue_compat"]] = float(venue_l == venue_r)
-        phi[_INDEX["venue_conflict"]] = float(venue_l != venue_r)
+    In-process backends create one each and pass it down to
+    :func:`featurize_pairs`, so a description seen in many candidate
+    pairs is tokenized and classified once, and the views die with the
+    backend that built them.  Nothing per pair is kept.  A memo holds
+    about ``MAX_VIEWS`` views (~1 KB each); the insert that would pass
+    the bound starts it over, which costs rebuilds and never a wrong row.
 
-    year_l = next((t for t in tokenize(fields_l[-1]) if _YEAR_RE.match(t)), None)
-    year_r = next((t for t in tokenize(fields_r[-1]) if _YEAR_RE.match(t)), None)
-    if year_l and year_r:
-        phi[_INDEX["year_field_match"]] = float(year_l == year_r)
-        phi[_INDEX["year_field_conflict"]] = float(year_l != year_r)
+    Safe to share between threads without a lock: a view is complete
+    before it is stored, and a lookup, an insert and a clear are each
+    atomic.  Two threads that miss on the same description both build it
+    and store equal views (the later store wins), and two threads that
+    find the memo full may both clear it, so a race costs rebuilds, may
+    hold a view or two past the bound, and never gives a wrong row.
+    """
 
-    phi[_INDEX["etal_present"]] = float(
-        "et al" in fields_l[0].lower() or "et al" in fields_r[0].lower()
-    )
+    __slots__ = ("_views",)
+
+    MAX_VIEWS = 8192
+
+    def __init__(self) -> None:
+        self._views: dict[str, RecordView] = {}
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def view(self, description: str) -> RecordView:
+        """The view of *description*, built on first use."""
+        found = self._views.get(description)
+        if found is None:
+            if len(self._views) >= self.MAX_VIEWS:
+                self._views.clear()
+            found = RecordView(description)
+            self._views[description] = found
+        return found
 
 
 # Process-wide memo keyed by the surface-string pair: overlapping splits
 # (filtered/extended training sets, shared test sets) featurize for free.
+# Only the memo-less path reads or fills it.
 _CACHE: dict[tuple[str, str], np.ndarray] = {}
 
 
@@ -332,13 +496,26 @@ def featurize_texts(left: str, right: str) -> np.ndarray:
     return vec
 
 
-def featurize_pairs(pairs: list[EntityPair]) -> np.ndarray:
-    """Feature matrix (n_pairs × NUM_FEATURES) for a list of pairs."""
+def featurize_pairs(
+    pairs: list[EntityPair], memo: FeatureMemo | None = None
+) -> np.ndarray:
+    """Feature matrix (n_pairs × NUM_FEATURES) for a list of pairs.
+
+    With a *memo*, rows are combined from its per-description views and
+    the process-wide pair memo is neither read nor filled.
+    """
     if not pairs:
         return np.zeros((0, NUM_FEATURES))
-    return np.stack(
-        [featurize_texts(p.left.description, p.right.description) for p in pairs]
-    )
+    if memo is None:
+        return np.stack(
+            [featurize_texts(p.left.description, p.right.description)
+             for p in pairs]
+        )
+    view = memo.view
+    return np.array([
+        combine_views(view(p.left.description), view(p.right.description))
+        for p in pairs
+    ])
 
 
 def clear_feature_cache() -> None:

@@ -8,8 +8,9 @@ training set.
 
 Two inference paths exist and agree with each other (tested):
 
-* :meth:`complete` — the chat interface: takes a rendered prompt string,
-  recovers the entity descriptions, answers in natural language;
+* :meth:`complete` / :meth:`complete_batch` — the chat interface: takes
+  rendered prompt strings, recovers the entity descriptions, answers in
+  natural language;
 * :meth:`predict_pairs` — the vectorized experiment path used by the
   evaluator and benchmarks.
 """
@@ -26,6 +27,7 @@ from repro._util import derive_rng, stable_hash
 from repro.datasets.schema import EntityPair, Record, Split
 from repro.llm.adapter import LoRAAdapter
 from repro.llm.decoding import is_hedged, realize_answer
+from repro.llm.features import FeatureMemo
 from repro.llm.parsing import parse_yes_no
 from repro.llm.prior import PriorHead, build_prior
 from repro.llm.registry import PersonaProfile, get_persona
@@ -66,38 +68,61 @@ class ChatModel:
 
     def prompt_bias(self, template: PromptTemplate) -> float:
         """Persona-specific logit shift induced by a prompt's wording."""
-        rng = np.random.default_rng(
-            stable_hash("prompt-bias", self.persona.name, template.question)
+        return _prompt_bias(
+            self.persona.name, self.persona.prompt_bias_sigma, template.question
         )
-        return float(self.persona.prompt_bias_sigma * rng.standard_normal())
 
     def logits(
         self,
         pairs: Sequence[EntityPair],
         template: PromptTemplate = DEFAULT_PROMPT,
+        memo: FeatureMemo | None = None,
     ) -> np.ndarray:
-        """Raw matching logits for candidate pairs under *template*."""
+        """Raw matching logits for candidate pairs under *template*.
+
+        *memo* holds the caller's per-description feature views (see
+        :class:`~repro.llm.features.FeatureMemo`).  With one, every
+        product is taken one pair at a time, so a pair's logit has the
+        same bits in any batch: those of ``logits([pair])``.  Without
+        one, the batch is multiplied at once, and BLAS, which picks its
+        kernels by shape, may move the last bits.
+        """
         pairs = list(pairs)
         if not pairs:
             return np.zeros(0)
-        x = self.prior.observe(pairs)
-        scores = x @ (self.prior.v @ self.W0)
+        x = self.prior.observe(pairs, memo)
+        w = self.prior.v @ self.W0
+        if memo is None:
+            scores = self._linear_scores(x, w)
+        else:
+            scores = np.concatenate(
+                [self._linear_scores(x[i: i + 1], w) for i in range(len(x))]
+            )
+        scores = scores + self._template_bias(template)
+        scores = scores + self.prior.perception_noise(pairs)
+        return scores
+
+    def _linear_scores(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Head, persona miscalibration and adapter terms of the logits."""
+        scores = x @ w
         scores = scores + x @ self.prior.feature_bias_vector()
-        bias = self.prompt_bias(template)
         if self.adapter is not None:
             scores = scores + self.persona.adapter_scale * self.adapter.logit_delta(
                 x, self.prior.v
             )
+        return scores
+
+    def _template_bias(self, template: PromptTemplate) -> float:
+        """The logit shift a prompt's wording causes in this model."""
+        bias = self.prompt_bias(template)
+        if self.adapter is not None and self.ft_prompt is not None:
             # Fine-tuning anchors the model to the matching task: wording
             # variations move the logits far less than they do zero-shot
             # (the paper's §3.3 finding).  The fine-tuning prompt's own bias
             # was part of the training forward pass, so it applies in full.
-            if self.ft_prompt is not None:
-                ft_bias = self.prompt_bias(self.ft_prompt)
-                bias = ft_bias + 0.2 * (bias - ft_bias)
-        scores = scores + bias
-        scores = scores + self.prior.perception_noise(pairs)
-        return scores
+            ft_bias = self.prompt_bias(self.ft_prompt)
+            bias = ft_bias + 0.2 * (bias - ft_bias)
+        return bias
 
     def predict_pairs(
         self,
@@ -129,18 +154,36 @@ class ChatModel:
         The question wording is identified against the known templates;
         unknown wordings behave like a free-form custom prompt.
         """
-        left, right = extract_entities(prompt)
-        template = identify_prompt(prompt)
-        if template is None:
-            question = prompt.splitlines()[0].strip('" ')
-            template = PromptTemplate(name="custom", question=question, forced=False)
-        pair = EntityPair(
-            pair_id="adhoc",
-            left=Record(record_id="adhoc-l", attributes={}, description=left),
-            right=Record(record_id="adhoc-r", attributes={}, description=right),
-            label=False,
-        )
-        decision = bool(self.logits([pair], template)[0] > 0.0)
+        return self.complete_batch([prompt])[0]
+
+    def complete_batch(
+        self, prompts: Sequence[str], memo: FeatureMemo | None = None
+    ) -> list[str]:
+        """Answer every prompt, in order, as :meth:`complete` answers each.
+
+        Each prompt is parsed once and the pairs of each template are
+        scored by one :meth:`logits` call.  *memo* holds the caller's
+        per-description feature views.  A malformed prompt raises
+        ``ValueError`` and no answer is returned.
+        """
+        parsed = [_parse_prompt(p) for p in prompts]
+        by_template: dict[PromptTemplate, list[int]] = {}
+        for i, (_, _, template) in enumerate(parsed):
+            by_template.setdefault(template, []).append(i)
+        decisions = [False] * len(parsed)
+        for template, members in by_template.items():
+            pairs = [_adhoc_pair(*parsed[i][:2]) for i in members]
+            for i, score in zip(members, self.logits(pairs, template, memo)):
+                decisions[i] = bool(score > 0.0)
+        return [
+            self._answer(left, right, template, decision)
+            for (left, right, template), decision in zip(parsed, decisions)
+        ]
+
+    def _answer(
+        self, left: str, right: str, template: PromptTemplate, decision: bool
+    ) -> str:
+        """The completion text for one decided pair."""
         explanation = None
         if self.explanation_style is not None:
             from repro.core.explanations import render_completion_explanation
@@ -329,6 +372,32 @@ class ChatModel:
         state = f"fine-tuned on {self.training_set}" if self.is_fine_tuned else "zero-shot"
         style = f", explanations={self.explanation_style}" if self.explanation_style else ""
         return f"{self.persona.display} ({state}{style})"
+
+
+def _parse_prompt(prompt: str) -> tuple[str, str, PromptTemplate]:
+    """(left, right, template) of a rendered prompt; ValueError if malformed."""
+    left, right = extract_entities(prompt)
+    template = identify_prompt(prompt)
+    if template is None:
+        question = prompt.splitlines()[0].strip('" ')
+        template = PromptTemplate(name="custom", question=question, forced=False)
+    return left, right, template
+
+
+def _adhoc_pair(left: str, right: str) -> EntityPair:
+    return EntityPair(
+        pair_id="adhoc",
+        left=Record(record_id="adhoc-l", attributes={}, description=left),
+        right=Record(record_id="adhoc-r", attributes={}, description=right),
+        label=False,
+    )
+
+
+@lru_cache(maxsize=1024)
+def _prompt_bias(persona_name: str, sigma: float, question: str) -> float:
+    """The logit shift a persona reads into one question wording."""
+    rng = np.random.default_rng(stable_hash("prompt-bias", persona_name, question))
+    return float(sigma * rng.standard_normal())
 
 
 @lru_cache(maxsize=1)

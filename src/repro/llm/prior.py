@@ -26,7 +26,13 @@ from repro._util import derive_rng, stable_hash
 from repro.datasets.build import HardnessProfile, build_split
 from repro.datasets.catalog import PaperCatalog, ProductCatalog, SoftwareCatalog
 from repro.datasets.schema import EntityPair
-from repro.llm.features import FEATURE_GROUPS, FEATURE_NAMES, NUM_FEATURES, featurize_pairs
+from repro.llm.features import (
+    FEATURE_GROUPS,
+    FEATURE_NAMES,
+    NUM_FEATURES,
+    FeatureMemo,
+    featurize_pairs,
+)
 from repro.llm.registry import PersonaProfile
 
 __all__ = [
@@ -74,6 +80,15 @@ _PRODUCT_MASK = np.array(
 )
 
 
+def _pair_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` without its argument dispatch.
+
+    ``default_rng`` of an int is ``Generator(PCG64(seed))``; building it
+    directly saves a third of the cost on the per-pair paths.
+    """
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 @dataclass
 class PriorHead:
     """Frozen pretrained scoring head of one persona.
@@ -112,37 +127,59 @@ class PriorHead:
             self._obs_sigma = self._obs_sigma * self.obs_sigma_scale
         if self.extra_obs_sigma is not None:
             self._obs_sigma = self._obs_sigma + self.extra_obs_sigma
+        self._noisy = bool(np.any(self._obs_sigma))
         self._obs_cache: dict[tuple[str, str], np.ndarray] = {}
+        # The persona is frozen, so its miscalibration vector is too.
+        bias = np.zeros(NUM_FEATURES)
+        for name, delta in self.persona.feature_bias.items():
+            bias[FEATURE_NAMES.index(name)] = delta
+        bias.flags.writeable = False
+        self._feature_bias = bias
 
     def represent(self, phi: np.ndarray) -> np.ndarray:
         """Noise-free linear part of the persona view (n × d)."""
         return phi @ self.M.T
 
-    def observe(self, pairs: list[EntityPair]) -> np.ndarray:
+    def observe(
+        self, pairs: list[EntityPair], memo: FeatureMemo | None = None
+    ) -> np.ndarray:
         """Persona reading of *pairs*: distorted features + observation noise.
 
-        Deterministic per (persona, pair) and cached, so training and every
-        later evaluation see the same reading.  Noise is masked to the
-        evidence slots that can be active for the pair's record type — a
-        model reading a product title has no bibliographic perception to
+        Deterministic per (persona, pair), so training and every later
+        evaluation see the same reading.  Noise is masked to the evidence
+        slots that can be active for the pair's record type — a model
+        reading a product title has no bibliographic perception to
         misread, and vice versa.
+
+        Without a *memo*, readings are cached per pair for the life of the
+        head (overlapping experiment splits read for free).  With one, the
+        features come from the memo's per-description views, nothing per
+        pair is kept (an engine asks each pair once), and each pair is
+        read by its own one-row product, as ``observe([pair])`` reads it.
         """
-        phi = featurize_pairs(pairs)
-        x = self.represent(phi)
-        if not np.any(self._obs_sigma):
+        phi = featurize_pairs(pairs, memo)
+        if memo is None:
+            x = self.represent(phi)
+        else:
+            # One-row products: a pair's reading has the same bits in
+            # any micro-batch (BLAS picks its kernels by shape).
+            x = np.concatenate(
+                [self.represent(phi[i: i + 1]) for i in range(len(phi))]
+            )
+        if not self._noisy:
             return x
+        cache = self._obs_cache if memo is None else None
         noise = np.empty_like(x)
         for i, pair in enumerate(pairs):
             key = (pair.left.description, pair.right.description)
-            row = self._obs_cache.get(key)
+            row = cache.get(key) if cache is not None else None
             if row is None:
-                rng = np.random.default_rng(
-                    stable_hash("observe", self.persona.name, *key)
-                )
+                rng = _pair_rng(stable_hash("observe", self.persona.name, *key))
                 row = self._obs_sigma * rng.standard_normal(x.shape[1])
                 fielded = ";" in pair.left.description
                 row = row * (_SCHOLAR_MASK if fielded else _PRODUCT_MASK)
-                self._obs_cache[key] = row
+                if cache is not None:
+                    cache[key] = row
             noise[i] = row
         return x + noise
 
@@ -154,10 +191,7 @@ class PriorHead:
         not of the matching knowledge in ``W0`` — so fine-tuning
         interference never erases them.
         """
-        bias = np.zeros(NUM_FEATURES)
-        for name, delta in self.persona.feature_bias.items():
-            bias[FEATURE_NAMES.index(name)] = delta
-        return bias
+        return self._feature_bias
 
     def logits_for(self, pairs: list[EntityPair]) -> np.ndarray:
         """Prior logits for pairs (no adapter, no prompt bias)."""
@@ -178,7 +212,7 @@ class PriorHead:
         flat_scale, fielded_scale = self.perception_scale
         out = np.empty(len(pairs))
         for i, pair in enumerate(pairs):
-            rng = np.random.default_rng(
+            rng = _pair_rng(
                 stable_hash("perception", self.persona.name,
                             pair.left.description, pair.right.description)
             )

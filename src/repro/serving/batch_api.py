@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.llm.features import FeatureMemo
 from repro.llm.model import ChatModel
 
 __all__ = [
@@ -85,6 +86,8 @@ class BatchAPI:
         self._jobs: dict[str, BatchJob] = {}
         self._models: dict[str, ChatModel] = {}
         self._ids = itertools.count(1)
+        #: per-description feature views, dropped with the endpoint.
+        self._memo = FeatureMemo()
 
     def register_model(self, model: ChatModel, name: str | None = None) -> str:
         """Make a model (zero-shot or fine-tuned) addressable by name."""
@@ -148,7 +151,7 @@ class BatchAPI:
         model = self._models[job.model_name]
         for request in job.requests:
             try:
-                content = model.complete(request.prompt)
+                content = model.complete_batch([request.prompt], self._memo)[0]
             except ValueError as exc:
                 job.responses.append(
                     BatchResponse(
