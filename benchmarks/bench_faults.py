@@ -58,7 +58,6 @@ def run_fault_sweep(pairs: int, seed: int = SEED) -> dict[str, object]:
         predictions = engine.predict_split(split)
         scores = f1_score(labels, predictions)
         stats = engine.stats.as_dict()
-        stats.pop("latency", None)
         requests = int(stats["requests"])
         fallback_share = stats["fallbacks"] / requests if requests else 0.0
         rows.append(

@@ -585,13 +585,9 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             if len(report.clustering.cluster_of(cluster_id)) > 1
         ]
     if args.stats:
-        # Latency percentiles are wall-clock measurements — everything
-        # else in the payload is deterministic, so keep them out of the
-        # JSON snapshot (byte-identical across runs) and leave them to
-        # the text rendering below.
-        snapshot = engine.stats.as_dict()
-        snapshot.pop("latency", None)
-        payload["engine_stats"] = snapshot
+        # Deterministic counters only: latency percentiles are wall-clock
+        # and appear in the text rendering below, never in the JSON.
+        payload["engine_stats"] = engine.stats.as_dict()
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1106,10 +1102,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         **summary,
         "gateway_stats": gateway.stats.as_dict(),
         "engine_stats": {
-            name: {
-                k: v for k, v in engine.stats.as_dict().items()
-                if k != "latency"
-            }
+            name: engine.stats.as_dict()
             for name, engine in sorted(router.engines().items())
         },
         "violations": list(violations),

@@ -192,16 +192,15 @@ class MatchingEngine:
         claims: list[tuple[int, _Pending, str, str]] = []
 
         for i, (left, right) in enumerate(descriptions):
-            self.stats.record_request()
             prompt = self.template.render(left, right)
             key = prompt
             cached = self.cache.get(key)
             if cached is not None:
                 response, decision = cached
-                self.stats.record_lookup(hit=True)
+                self.stats.add("requests", "cache_hits")
                 results[i] = MatchResult(left, right, response, decision, "cache")
                 continue
-            self.stats.record_lookup(hit=False)
+            self.stats.add("requests", "cache_misses")
             batch = None
             created = False
             with self._lock:
@@ -215,7 +214,7 @@ class MatchingEngine:
                         batch = self.scheduler.poll()
                 pending.claims += 1
             if not created:
-                self.stats.record_dedup()
+                self.stats.add("deduped")
             claims.append((i, pending, left, right))
             if batch is not None:
                 self._dispatch(batch)
@@ -291,18 +290,20 @@ class MatchingEngine:
         provider polling, retry sleeps) and must never stall other threads'
         cache hits or submissions.
         """
-        self.stats.record_batch(batch.reason, len(batch))
+        self.stats.add("batches", lanes=(("flush", batch.reason),))
+        self.stats.add("batched_requests", n=len(batch))
         prompts = [item.prompt for item in batch.items]
 
         def error_class(exc: Exception) -> str:
+            """The error counter a failed attempt lands in."""
             if isinstance(exc, BackendTimeout):
-                return "timeout"
+                return "timeouts"
             if isinstance(exc, CircuitOpenError):
                 return "circuit_open"
-            return "transport"
+            return "transport_errors"
 
         def on_retry(attempt: int, exc: Exception) -> None:
-            self.stats.record_retry(error_class(exc))
+            self.stats.add("retries", error_class(exc))
 
         opened_before = self.breaker.times_opened
         started = self._clock()
@@ -316,20 +317,20 @@ class MatchingEngine:
                 on_retry=on_retry,
             )
         except (BackendError, CircuitOpenError) as exc:
-            self.stats.record_failure(error_class(exc))
-            self.stats.record_circuit_opens(
-                self.breaker.times_opened - opened_before
+            self.stats.add("failures", error_class(exc))
+            self.stats.add(
+                "circuit_opens", n=self.breaker.times_opened - opened_before
             )
             self._fallback_batch(batch)
             return
-        self.stats.record_circuit_opens(self.breaker.times_opened - opened_before)
+        self.stats.add("circuit_opens", n=self.breaker.times_opened - opened_before)
         elapsed = self._clock() - started
         if len(responses) != len(prompts):
             # A misbehaving backend that drops answers is a failure too.
-            self.stats.record_failure("malformed")
+            self.stats.add("failures", "malformed")
             self._fallback_batch(batch)
             return
-        self.stats.record_latency(elapsed, requests=len(prompts))
+        self.stats.sample("latency", elapsed, len(prompts))
         answered = [
             (item, response, bool(parse_yes_no(response)))
             for item, response in zip(batch.items, responses)
@@ -359,6 +360,6 @@ class MatchingEngine:
         ]
         decisions = self.fallback.predict(Split(name="fallback", pairs=pairs))
         claim_counts = self._retire(batch)
-        self.stats.record_fallbacks(sum(claim_counts))
+        self.stats.add("fallbacks", n=sum(claim_counts))
         for item, decision in zip(batch.items, decisions):
             item.resolve(None, bool(decision), "fallback")

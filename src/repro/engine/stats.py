@@ -1,200 +1,123 @@
-"""Engine observability: counters and latency percentiles (thread-safe).
+"""Engine observability: counters, conservation rules and latency samples.
 
-One :class:`EngineStats` object accompanies a :class:`MatchingEngine` for
-its lifetime.  All mutation goes through ``record_*`` methods that take
-the stats lock, so counters stay exact when N threads drive the engine
-concurrently; the counter fields themselves stay public for cheap reads
-in tests and summaries once the threads have joined.  The guarded fields
-are declared with :func:`repro.concurrency.guarded_by`, which the deep
-linter checks against the actual lock regions.
+One :class:`EngineStats` registry accompanies a :class:`MatchingEngine`
+for its lifetime.  The engine bumps counters through
+:meth:`~repro.obs.Counters.add` (one lock hold per event, exact under N
+threads) and records one latency sample per backend dispatch, weighted
+by the requests it answered.  Each counter reads as an int attribute
+(``stats.requests``); flush reasons are lanes ``("flush", reason)`` of
+the ``batches`` counter.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Annotated
+from typing import Mapping
 
-import numpy as np
-
-from repro.concurrency import guarded_by
+from repro.obs import TOTAL, Balance, Counters, LaneSum, Snapshot, lanes_of
 
 __all__ = ["EngineStats"]
 
+#: the counters; each reads as an int attribute (``stats.requests``).
+#: requests — match requests accepted (before dedup/caching);
+#: cache_hits / cache_misses — result-cache lookups;
+#: deduped — requests folded into an identical in-flight request;
+#: batches / batched_requests — micro-batches flushed, unique prompts in them;
+#: retries — backend attempts beyond the first for any batch;
+#: timeouts / transport_errors / circuit_open / malformed — failed attempts
+#: by class (timeout budget, transport rejection, open breaker refusal,
+#: response-count mismatch), so a report can tell an overloaded backend
+#: from a flapping one from a misbehaving one;
+#: failures — batches whose attempts were exhausted (or short-circuited);
+#: fallbacks — requests answered by the threshold-baseline path;
+#: circuit_opens — closed→open transitions of the circuit breaker.
+_COUNTERS = (
+    "requests", "cache_hits", "cache_misses", "deduped", "batches",
+    "batched_requests", "retries", "timeouts", "transport_errors",
+    "circuit_open", "malformed", "failures", "fallbacks", "circuit_opens",
+)
 
-@dataclass
-class EngineStats:
+#: ``as_dict`` keys, in order: counters and the three derived values.
+_KEYS = (
+    "requests", "cache_hits", "cache_misses", "hit_rate", "deduped",
+    "batches", "mean_batch_size", "flush_reasons", "retries", "timeouts",
+    "transport_errors", "circuit_open", "malformed", "failures", "fallbacks",
+    "circuit_opens",
+)
+
+
+def _ratio(total: Mapping[str, int], part: str, *whole: str) -> float:
+    denominator = sum(total.get(name, 0) for name in whole)
+    return total.get(part, 0) / denominator if denominator else 0.0
+
+
+def _derived(counts: Snapshot) -> dict[str, object]:
+    """The three ``as_dict`` values computed from counters, unrounded."""
+    total = counts.get(TOTAL, {})
+    return {
+        "hit_rate": _ratio(total, "cache_hits", "cache_hits", "cache_misses"),
+        "mean_batch_size": _ratio(total, "batched_requests", "batches"),
+        "flush_reasons": {
+            reason: row["batches"] for reason, row in lanes_of(counts, "flush").items()
+        },
+    }
+
+
+class EngineStats(Counters):
     """Counters and latency samples for one engine instance."""
 
-    #: match requests accepted (before dedup/caching).
-    requests: Annotated[int, guarded_by("_lock")] = 0
-    #: requests answered from the result cache.
-    cache_hits: Annotated[int, guarded_by("_lock")] = 0
-    #: requests that missed the cache and went to the scheduler.
-    cache_misses: Annotated[int, guarded_by("_lock")] = 0
-    #: requests folded into an identical in-flight request.
-    deduped: Annotated[int, guarded_by("_lock")] = 0
-    #: micro-batches flushed to a backend.
-    batches: Annotated[int, guarded_by("_lock")] = 0
-    #: unique prompts dispatched inside those batches.
-    batched_requests: Annotated[int, guarded_by("_lock")] = 0
-    #: flush reasons ("size" / "deadline" / "drain") → count.
-    flush_reasons: Annotated[dict, guarded_by("_lock")] = field(
-        default_factory=dict
-    )
-    #: backend attempts beyond the first for any batch.
-    retries: Annotated[int, guarded_by("_lock")] = 0
-    #: attempts that exceeded the per-request timeout budget.
-    timeouts: Annotated[int, guarded_by("_lock")] = 0
-    #: attempts that failed with a non-timeout transport error.
-    transport_errors: Annotated[int, guarded_by("_lock")] = 0
-    #: dispatches refused outright because the circuit breaker was open.
-    circuit_open: Annotated[int, guarded_by("_lock")] = 0
-    #: batches whose response count did not match the prompt count.
-    malformed: Annotated[int, guarded_by("_lock")] = 0
-    #: batches whose backend attempts were exhausted (or short-circuited).
-    failures: Annotated[int, guarded_by("_lock")] = 0
-    #: requests answered by the degraded threshold-baseline path.
-    fallbacks: Annotated[int, guarded_by("_lock")] = 0
-    #: closed→open transitions of the circuit breaker.
-    circuit_opens: Annotated[int, guarded_by("_lock")] = 0
-    #: per-request backend latency samples, seconds.
-    latencies: Annotated[list, guarded_by("_lock")] = field(
-        default_factory=list
-    )
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, init=False, repr=False, compare=False
+    RULES = (
+        Balance(("cache_hits", "cache_misses"), ("requests",)),
+        # A miss either opens an in-flight slot, dispatched in exactly one
+        # batch, or joins one.
+        Balance(("cache_misses",), ("deduped", "batched_requests")),
+        Balance(
+            ("timeouts", "transport_errors", "circuit_open", "malformed"),
+            ("retries", "failures"),
+        ),
+        LaneSum("flush", ("batches",), ("batches",)),
     )
 
-    # ------------------------------------------------------------- recording
-
-    def record_request(self, n: int = 1) -> None:
-        with self._lock:
-            self.requests += n
-
-    def record_lookup(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-
-    def record_dedup(self) -> None:
-        with self._lock:
-            self.deduped += 1
-
-    def record_batch(self, reason: str, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += size
-            self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-
-    def record_retry(self, kind: str = "transport") -> None:
-        """One failed attempt that will be retried (*kind* classifies it)."""
-        with self._lock:
-            self.retries += 1
-            self._count_error(kind)
-
-    def record_failure(self, kind: str = "transport") -> None:
-        """One batch whose dispatch failed for good (*kind* classifies it).
-
-        Error accounting is split by class rather than lumped: attempts
-        lost to the timeout budget land in ``timeouts``, transport-level
-        rejections in ``transport_errors``, fail-fast refusals by the
-        open breaker in ``circuit_open``, and response-count mismatches
-        in ``malformed`` — so a degradation report can tell an overloaded
-        backend from a flapping one from a misbehaving one.
-        """
-        with self._lock:
-            self.failures += 1
-            self._count_error(kind)
-
-    def _count_error(self, kind: str) -> None:
-        """Bump the per-class error counter (the RLock re-enters cheaply)."""
-        with self._lock:
-            if kind == "timeout":
-                self.timeouts += 1
-            elif kind == "transport":
-                self.transport_errors += 1
-            elif kind == "circuit_open":
-                self.circuit_open += 1
-            elif kind == "malformed":
-                self.malformed += 1
-            else:
-                raise ValueError(f"unknown error class {kind!r}")
-
-    def record_fallbacks(self, n: int) -> None:
-        with self._lock:
-            self.fallbacks += n
-
-    def record_circuit_opens(self, n: int) -> None:
-        with self._lock:
-            self.circuit_opens += n
-
-    def record_latency(self, seconds: float, requests: int = 1) -> None:
-        """Record one dispatch latency, attributed to *requests* requests."""
-        with self._lock:
-            self.latencies.extend([seconds] * max(requests, 1))
-
-    # ------------------------------------------------------------- summaries
-
-    @property
-    def mean_batch_size(self) -> float:
-        with self._lock:
-            if not self.batches:
-                return 0.0
-            return self.batched_requests / self.batches
+    def __getattr__(self, name: str) -> int:
+        """Counter reads: ``stats.requests``, ``stats.fallbacks``, ..."""
+        if name in _COUNTERS:
+            return self.get(name)
+        raise AttributeError(name)
 
     @property
     def hit_rate(self) -> float:
         """Cache hits over all cache lookups (0.0 when nothing was looked up)."""
-        with self._lock:
-            total = self.cache_hits + self.cache_misses
-            return self.cache_hits / total if total else 0.0
+        return _derived(self.counts())["hit_rate"]
+
+    @property
+    def mean_batch_size(self) -> float:
+        return _derived(self.counts())["mean_batch_size"]
+
+    @property
+    def flush_reasons(self) -> dict[str, int]:
+        """Flush reason ("size" / "deadline" / "drain") → batches."""
+        return _derived(self.counts())["flush_reasons"]
 
     def latency_percentiles(self, qs: tuple[int, ...] = (50, 95, 99)) -> dict[str, float]:
-        """``{"p50": ..., ...}`` over recorded latencies (empty dict if none)."""
-        with self._lock:
-            if not self.latencies:
-                return {}
-            values = np.percentile(np.asarray(self.latencies), qs)
-        return {f"p{q}": float(v) for q, v in zip(qs, values)}
+        """``{"p50": ...}`` over per-request backend latency, seconds."""
+        return self.percentiles("latency", qs)
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-serializable snapshot (used by benchmarks and the CLI)."""
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "hit_rate": round(self.hit_rate, 4),
-                "deduped": self.deduped,
-                "batches": self.batches,
-                "mean_batch_size": round(self.mean_batch_size, 2),
-                "flush_reasons": dict(self.flush_reasons),
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "transport_errors": self.transport_errors,
-                "circuit_open": self.circuit_open,
-                "malformed": self.malformed,
-                "failures": self.failures,
-                "fallbacks": self.fallbacks,
-                "circuit_opens": self.circuit_opens,
-                "latency": self.latency_percentiles(),
-            }
+        """Deterministic JSON-ready snapshot (latency is read separately)."""
+        counts = self.counts()
+        total = counts.get(TOTAL, {})
+        derived = _derived(counts)
+        derived["hit_rate"] = round(derived["hit_rate"], 4)
+        derived["mean_batch_size"] = round(derived["mean_batch_size"], 2)
+        return {
+            key: derived[key] if key in derived else total.get(key, 0)
+            for key in _KEYS
+        }
 
     def render(self) -> str:
         """Human-readable multi-line summary for ``repro-em engine --stats``."""
         lines = ["engine stats:"]
         for key, value in self.as_dict().items():
-            if key == "latency":
-                if value:
-                    formatted = ", ".join(
-                        f"{name}={seconds * 1e3:.2f}ms"
-                        for name, seconds in value.items()
-                    )
-                    lines.append(f"  latency        {formatted}")
-            elif key == "flush_reasons":
+            if key == "flush_reasons":
                 if value:
                     formatted = ", ".join(f"{k}={v}" for k, v in sorted(value.items()))
                     lines.append(f"  flush_reasons  {formatted}")
@@ -202,4 +125,10 @@ class EngineStats:
                 lines.append(f"  hit_rate       {value:.2%}")
             else:
                 lines.append(f"  {key:<14} {value}")
+        latency = self.latency_percentiles()
+        if latency:
+            formatted = ", ".join(
+                f"{name}={seconds * 1e3:.2f}ms" for name, seconds in latency.items()
+            )
+            lines.append(f"  latency        {formatted}")
         return "\n".join(lines)

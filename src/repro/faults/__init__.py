@@ -28,7 +28,6 @@ from repro.faults.harness import (
     chaos_engine_on,
     chaos_match,
     chaos_resolve,
-    engine_stats_violations,
     kill_resume_roundtrip,
     resolution_snapshot,
     sharded_conservation_violations,
@@ -66,7 +65,6 @@ __all__ = [
     "chaos_engine_on",
     "chaos_match",
     "chaos_resolve",
-    "engine_stats_violations",
     "fsync_dir",
     "journal_header",
     "kill_resume_roundtrip",

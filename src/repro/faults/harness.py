@@ -10,8 +10,9 @@ matter how the backend misbehaves:
 * **No request lost or answered twice** — one result per input pair, in
   input order, each with a legal source.
 * **Exact counter conservation** — ``backend + fallback + cache`` answers
-  equal ``requests``; per-class error counters (timeouts, transport,
-  circuit-open, malformed) sum to ``retries + failures``.
+  equal ``requests``, and every balance the engine declares in
+  :attr:`~repro.engine.stats.EngineStats.RULES` holds (e.g. per-class
+  error counters sum to ``retries + failures``).
 * **Fallback fidelity** — every degraded answer equals what a standalone
   :class:`~repro.baselines.threshold.ThresholdMatcher` says for that pair.
 * **Transparency at rate 0** — wrapping the backend with a zero-rate
@@ -53,7 +54,6 @@ __all__ = [
     "chaos_engine_on",
     "chaos_match",
     "chaos_resolve",
-    "engine_stats_violations",
     "kill_resume_roundtrip",
     "resolution_snapshot",
     "sharded_conservation_violations",
@@ -198,9 +198,7 @@ class ChaosReport:
     sources: dict
     #: fault kind → injections performed by the faulty backend.
     injected: dict
-    #: engine stats snapshot (latency percentiles stripped: simulated
-    #: time is deterministic, but the field is excluded from byte-level
-    #: comparisons by the same convention as ``repro-em resolve``).
+    #: engine counter snapshot (``EngineStats.as_dict``: no timings).
     stats: dict
     #: cluster count (resolve runs only).
     clusters: int | None
@@ -232,31 +230,11 @@ class ChaosReport:
 # ---------------------------------------------------------------- invariants
 
 
-def engine_stats_violations(engine: MatchingEngine) -> list[str]:
-    """Internal counter conservation every chaos shape must satisfy."""
-    violations: list[str] = []
-    stats = engine.stats.as_dict()
-    if stats["cache_hits"] + stats["cache_misses"] != stats["requests"]:
-        violations.append("cache_hits + cache_misses != requests")
-    classed = (
-        stats["timeouts"]
-        + stats["transport_errors"]
-        + stats["circuit_open"]
-        + stats["malformed"]
-    )
-    if classed != stats["retries"] + stats["failures"]:
-        violations.append(
-            f"error classes sum {classed} != retries {stats['retries']} "
-            f"+ failures {stats['failures']}"
-        )
-    return violations
-
-
 def _match_conservation_violations(
     engine: MatchingEngine, results: Sequence[MatchResult]
 ) -> list[str]:
     """Source-level conservation for the raw ``match_pairs`` shape."""
-    violations = engine_stats_violations(engine)
+    violations = engine.stats.violations()
     stats = engine.stats.as_dict()
     sources = Counter(result.source for result in results)
     answered = sum(sources[s] for s in _VALID_SOURCES)
@@ -285,7 +263,7 @@ def _resolve_conservation_violations(
     engine: MatchingEngine, decisions: Sequence
 ) -> list[str]:
     """Conservation for the resolution shape (cache-normalized sources)."""
-    violations = engine_stats_violations(engine)
+    violations = engine.stats.violations()
     stats = engine.stats.as_dict()
     sources = Counter(decision.source for decision in decisions)
     if len(decisions) != stats["requests"]:
@@ -378,7 +356,7 @@ def chaos_match(
         requests=len(pairs),
         sources=dict(Counter(r.source for r in results)),
         injected=backend.injected_counts(),
-        stats=_clean_stats(engine),
+        stats=engine.stats.as_dict(),
         clusters=None,
         violations=tuple(violations),
         fingerprint=_results_fingerprint(results),
@@ -436,17 +414,11 @@ def chaos_resolve(
         requests=len(records),
         sources=dict(Counter(d.source for d in decisions)),
         injected=backend.injected_counts(),
-        stats=_clean_stats(engine),
+        stats=engine.stats.as_dict(),
         clusters=len(clustering.clusters),
         violations=tuple(violations),
         fingerprint=f"{stable_hash(clustering.clusters, tuple(decisions)):016x}",
     )
-
-
-def _clean_stats(engine: MatchingEngine) -> dict:
-    stats = engine.stats.as_dict()
-    stats.pop("latency", None)
-    return stats
 
 
 # ------------------------------------------------------------------ sweeping

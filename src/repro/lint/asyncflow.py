@@ -715,7 +715,7 @@ class AsyncFlowAnalysis:
                         context=ctx,
                         kind=(
                             "write"
-                            if self._is_write(node, parents)
+                            if self._is_write(node, parents, resolver)
                             else "read"
                         ),
                         via_cst=qualname in self.cst_callbacks,
@@ -726,8 +726,12 @@ class AsyncFlowAnalysis:
             if finding is not None:
                 self.races.append(finding)
 
-    @staticmethod
-    def _is_write(node: ast.Attribute, parents: dict[ast.AST, ast.AST]) -> bool:
+    def _is_write(
+        self,
+        node: ast.Attribute,
+        parents: dict[ast.AST, ast.AST],
+        resolver: _Resolver,
+    ) -> bool:
         if isinstance(node.ctx, (ast.Store, ast.Del)):
             return True
         parent = parents.get(node)
@@ -737,7 +741,13 @@ class AsyncFlowAnalysis:
         ):
             grand = parents.get(parent)
             if isinstance(grand, ast.Call) and grand.func is parent:
-                return True
+                # A project class's own method (``self.stats.add``) is not a
+                # container mutation: its field accesses are checked in it.
+                field_type = resolver.receiver_type(node)
+                return (
+                    field_type is None
+                    or self.table.lookup_method(field_type, parent.attr) is None
+                )
         if isinstance(parent, ast.Subscript) and isinstance(
             parent.ctx, (ast.Store, ast.Del)
         ):

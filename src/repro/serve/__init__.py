@@ -45,7 +45,7 @@ from repro.serve.protocol import (
     MatchResponse,
 )
 from repro.serve.router import PersonaRouter, UnknownPersonaError
-from repro.serve.stats import GatewayStats, LaneStats
+from repro.serve.stats import GatewayStats
 
 __all__ = [
     "AdmissionController",
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_PERSONA",
     "Gateway",
     "GatewayStats",
-    "LaneStats",
     "LoadProfile",
     "MatchRequest",
     "MatchResponse",

@@ -39,7 +39,6 @@ from repro.faults.harness import (
     ParityBackend,
     build_chaos_engine,
     chaos_engine_on,
-    engine_stats_violations,
     synthetic_pairs,
 )
 from repro.faults.plan import FAULT_KINDS, FaultPlan
@@ -72,7 +71,7 @@ class ServeChaosReport:
     injected: dict
     #: gateway counter snapshot.
     gateway_stats: dict
-    #: engine counter snapshot (latency stripped, as everywhere).
+    #: engine counter snapshot (``EngineStats.as_dict``: no timings).
     engine_stats: dict
     violations: tuple
     fingerprint: str
@@ -202,7 +201,7 @@ def chaos_serve(
             )
     violations += gateway.stats.violations(in_queue=gateway.queue_depth)
     violations += gateway.stats.reconcile_engines(router.engines())
-    violations += engine_stats_violations(engine)
+    violations += engine.stats.violations()
     violations += _degradation_violations(responses)
 
     if fault_rate == 0.0:
@@ -210,8 +209,6 @@ def chaos_serve(
             responses, pairs, seed, batch_size
         )
 
-    engine_stats = engine.stats.as_dict()
-    engine_stats.pop("latency", None)
     return ServeChaosReport(
         seed=seed,
         fault_rate=fault_rate,
@@ -220,7 +217,7 @@ def chaos_serve(
         statuses=dict(Counter(r.status for r in responses)),
         injected=backend.injected_counts(),
         gateway_stats=gateway.stats.as_dict(),
-        engine_stats=engine_stats,
+        engine_stats=engine.stats.as_dict(),
         violations=tuple(violations),
         fingerprint=_fingerprint(responses),
     )

@@ -61,6 +61,11 @@ from repro.serve.stats import GatewayStats
 __all__ = ["Gateway", "run_inline"]
 
 
+def _lanes(tenant: str, persona: str) -> tuple:
+    """The stats lanes one routed request counts in."""
+    return (("tenant", tenant), ("persona", persona))
+
+
 @dataclass
 class _QueuedRequest:
     """One admitted request parked in the gateway queue.
@@ -101,7 +106,6 @@ class Gateway:
         workers: int = 0,
         clock: Callable[[], float] = time.monotonic,
         fallback: ThresholdMatcher | None = None,
-        stats: GatewayStats | None = None,
         degrade_on_overload: bool = True,
     ) -> None:
         if queue_capacity < 1:
@@ -115,7 +119,7 @@ class Gateway:
         self.queue_capacity = queue_capacity
         self.batch_size = batch_size
         self.workers = workers
-        self.stats = stats if stats is not None else GatewayStats()
+        self.stats = GatewayStats()
         #: gateway-level degraded matcher (overload / open breaker); the
         #: same threshold baseline the engine falls back to, so degraded
         #: answers stay checkable against a standalone ThresholdMatcher.
@@ -173,17 +177,19 @@ class Gateway:
         try:
             persona = self.router.resolve(request.persona)
         except UnknownPersonaError as exc:
-            self.stats.record_submitted(request.tenant, "")
-            self.stats.record_error(request.tenant)
+            self.stats.add(
+                "submitted", "errors", lanes=(("tenant", request.tenant),)
+            )
             return self._response(
                 request, "error", persona="", reason=str(exc)
             )
-        self.stats.record_submitted(request.tenant, persona)
+        lanes = _lanes(request.tenant, persona)
+        self.stats.add("submitted", lanes=lanes)
 
         if self.admission is not None:
             refusal = self.admission.admit(request.tenant)
             if refusal is not None:
-                self.stats.record_rejected(request.tenant, persona, refusal)
+                self.stats.add("rejected", lanes=(*lanes, ("reason", refusal)))
                 return self._response(
                     request, "rejected", persona=persona, reason=refusal
                 )
@@ -218,7 +224,9 @@ class Gateway:
             return self._settle_unqueued(
                 request, persona, "shed", reason="queue_full"
             )
-        self.stats.record_admitted(request.tenant, persona, depth)
+        self.stats.add(
+            "admitted", lanes=lanes, peak=("queue_high_water", depth)
+        )
         return await item.future
 
     async def match_many(
@@ -315,8 +323,8 @@ class Gateway:
             self._degrade(live, reason="dispatch_error")
             raise
         for item, result in zip(live, results):
-            self.stats.record_outcome(
-                item.request.tenant, item.persona, "completed"
+            self.stats.add(
+                "completed", lanes=_lanes(item.request.tenant, item.persona)
             )
             self._release(item.request.tenant)
             self._resolve(
@@ -377,8 +385,8 @@ class Gateway:
             [(item.request.left, item.request.right) for item in items]
         )
         for item, decision in zip(items, decisions):
-            self.stats.record_outcome(
-                item.request.tenant, item.persona, "degraded"
+            self.stats.add(
+                "degraded", lanes=_lanes(item.request.tenant, item.persona)
             )
             self._release(item.request.tenant)
             self._resolve(
@@ -419,8 +427,10 @@ class Gateway:
         self, request: MatchRequest, persona: str, outcome: str, reason: str
     ) -> MatchResponse:
         """Terminal outcome for an admitted request that never queued."""
-        self.stats.record_admitted(request.tenant, persona, self.queue_depth)
-        self.stats.record_outcome(request.tenant, persona, outcome)
+        self.stats.add(
+            "admitted", outcome, lanes=_lanes(request.tenant, persona),
+            peak=("queue_high_water", self.queue_depth),
+        )
         self._release(request.tenant)
         if outcome == "degraded":
             [decision] = self._degraded_decisions([(request.left, request.right)])
@@ -433,7 +443,7 @@ class Gateway:
 
     def _settle(self, item: _QueuedRequest, outcome: str, reason: str) -> None:
         """Terminal non-answered outcome for a queued request."""
-        self.stats.record_outcome(item.request.tenant, item.persona, outcome)
+        self.stats.add(outcome, lanes=_lanes(item.request.tenant, item.persona))
         self._release(item.request.tenant)
         status = "expired" if outcome == "expired" else "shed"
         self._resolve(

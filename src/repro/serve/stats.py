@@ -1,6 +1,6 @@
-"""Gateway observability: per-tenant / per-persona counters (thread-safe).
+"""Gateway observability: request-funnel counters, total and per lane.
 
-One :class:`GatewayStats` object accompanies a
+One :class:`GatewayStats` registry accompanies a
 :class:`~repro.serve.gateway.Gateway` for its lifetime.  Counters follow
 every request through the funnel::
 
@@ -11,131 +11,50 @@ every request through the funnel::
                          └── shed             (queue full, no degradation)
                          └── expired          (deadline passed in queue)
 
-The funnel is exact, and :meth:`GatewayStats.violations` checks it the
-same way the chaos harness checks :class:`~repro.engine.stats.EngineStats`
-conservation: ``submitted = errors + rejected + admitted`` and
-``admitted = completed + degraded + shed + expired`` (plus whatever is
-still queued at snapshot time).  ``completed`` additionally reconciles
-with the engines themselves — every completed request is exactly one
-engine request, so ``completed[persona] == engine.stats.requests`` for
-each routed engine; :meth:`reconcile_engines` asserts it.
-
-Mutation goes through ``record_*`` methods under one lock, so counters
-stay exact when the event loop and N dispatch threads write
-concurrently; reads of the public fields are safe once traffic stops.
+Each event is one :meth:`~repro.obs.Counters.add` into the total and the
+lanes ``("tenant", t)`` and ``("persona", p)``; an unknown persona has
+no persona lane, and a rejection also counts in its ``("reason", r)``
+lane.  The funnel is exact, and the declared ``RULES`` say so:
+``submitted = errors + rejected + admitted`` and ``admitted = completed
++ degraded + shed + expired`` (plus whatever is still queued at snapshot
+time), and the tenant, persona and reason lanes each add up to the
+total.  ``completed`` additionally reconciles with the engines
+themselves — every completed request is exactly one engine request, so
+``completed[persona] == engine.stats.requests`` for each routed engine;
+:meth:`GatewayStats.reconcile_engines` asserts it.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Annotated, Mapping
+from typing import Mapping
 
-from repro.concurrency import guarded_by
+from repro.obs import TOTAL, Balance, Counters, LaneSum, lane_sums, lanes_of
 
-__all__ = ["GatewayStats", "LaneStats"]
+__all__ = ["GatewayStats"]
 
-#: terminal outcomes an *admitted* request can reach.
-_OUTCOMES = ("completed", "degraded", "shed", "expired")
-
-
-@dataclass
-class LaneStats:
-    """Counters for one lane (one tenant, or one persona)."""
-
-    submitted: int = 0
-    errors: int = 0
-    rejected: int = 0
-    admitted: int = 0
-    completed: int = 0
-    degraded: int = 0
-    shed: int = 0
-    expired: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "expired": self.expired,
-        }
+#: the funnel counters every lane reports, in ``as_dict`` order.
+_FUNNEL = (
+    "submitted", "errors", "rejected", "admitted",
+    "completed", "degraded", "shed", "expired",
+)
 
 
-@dataclass
-class GatewayStats:
+class GatewayStats(Counters):
     """Counters for one gateway instance, total and per lane."""
 
-    total: Annotated[LaneStats, guarded_by("_lock")] = field(
-        default_factory=LaneStats
+    RULES = (
+        Balance(("submitted",), ("errors", "rejected", "admitted"),
+                kinds=("tenant", "persona")),
+        Balance(("admitted",), ("completed", "degraded", "shed", "expired", "queued"),
+                kinds=("tenant", "persona")),
+        *lane_sums("tenant", *_FUNNEL),
+        # An unknown persona's request has no persona lane, so the persona
+        # lanes hold every request but the errors.
+        LaneSum("persona", ("submitted",), ("rejected", "admitted")),
+        LaneSum("persona", ("errors",), ()),
+        *lane_sums("persona", *_FUNNEL[2:]),
+        *lane_sums("reason", "rejected"),
     )
-    tenants: Annotated[dict, guarded_by("_lock")] = field(default_factory=dict)
-    personas: Annotated[dict, guarded_by("_lock")] = field(default_factory=dict)
-    #: admission rejections by reason ("rate_limited" / "quota_exceeded" /
-    #: "saturated").
-    rejected_reasons: Annotated[dict, guarded_by("_lock")] = field(
-        default_factory=dict
-    )
-    #: deepest the request queue ever got (backpressure high-water mark).
-    queue_high_water: Annotated[int, guarded_by("_lock")] = 0
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, init=False, repr=False, compare=False
-    )
-
-    # ------------------------------------------------------------- recording
-
-    def _lanes(self, tenant: str, persona: str) -> tuple[LaneStats, ...]:
-        """Lanes one request touches (re-entrant: callers hold ``_lock``)."""
-        with self._lock:
-            return (
-                self.total,
-                self.tenants.setdefault(tenant, LaneStats()),
-                *(
-                    (self.personas.setdefault(persona, LaneStats()),)
-                    if persona
-                    else ()
-                ),
-            )
-
-    def record_submitted(self, tenant: str, persona: str = "") -> None:
-        with self._lock:
-            for lane in self._lanes(tenant, persona):
-                lane.submitted += 1
-
-    def record_error(self, tenant: str) -> None:
-        """An un-routable request (unknown persona): no persona lane."""
-        with self._lock:
-            for lane in self._lanes(tenant, ""):
-                lane.errors += 1
-
-    def record_rejected(self, tenant: str, persona: str, reason: str) -> None:
-        with self._lock:
-            for lane in self._lanes(tenant, persona):
-                lane.rejected += 1
-            self.rejected_reasons[reason] = (
-                self.rejected_reasons.get(reason, 0) + 1
-            )
-
-    def record_admitted(self, tenant: str, persona: str, depth: int) -> None:
-        """One admission; *depth* is the queue depth just after enqueue."""
-        with self._lock:
-            for lane in self._lanes(tenant, persona):
-                lane.admitted += 1
-            if depth > self.queue_high_water:
-                self.queue_high_water = depth
-
-    def record_outcome(self, tenant: str, persona: str, outcome: str) -> None:
-        """Terminal outcome of one admitted request."""
-        if outcome not in _OUTCOMES:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        with self._lock:
-            for lane in self._lanes(tenant, persona):
-                setattr(lane, outcome, getattr(lane, outcome) + 1)
-
-    # ------------------------------------------------------------ invariants
 
     def violations(self, in_queue: int = 0) -> list[str]:
         """Conservation violations; empty means every request is accounted.
@@ -143,44 +62,7 @@ class GatewayStats:
         *in_queue* is the number of requests still queued at snapshot
         time (0 once the gateway has drained).
         """
-        problems: list[str] = []
-        with self._lock:
-            lanes: list[tuple[str, LaneStats]] = [("total", self.total)]
-            lanes += [(f"tenant {k}", v) for k, v in sorted(self.tenants.items())]
-            lanes += [(f"persona {k}", v) for k, v in sorted(self.personas.items())]
-            for name, lane in lanes:
-                settled = lane.completed + lane.degraded + lane.shed + lane.expired
-                queued = in_queue if name == "total" else 0
-                if name == "total":
-                    if lane.submitted != lane.errors + lane.rejected + lane.admitted:
-                        problems.append(
-                            f"{name}: submitted {lane.submitted} != errors "
-                            f"{lane.errors} + rejected {lane.rejected} + "
-                            f"admitted {lane.admitted}"
-                        )
-                if lane.admitted != settled + queued:
-                    problems.append(
-                        f"{name}: admitted {lane.admitted} != completed "
-                        f"{lane.completed} + degraded {lane.degraded} + shed "
-                        f"{lane.shed} + expired {lane.expired} + queued {queued}"
-                    )
-            for field_name in ("submitted", "admitted", "completed", "degraded",
-                               "shed", "expired", "rejected", "errors"):
-                tenant_sum = sum(
-                    getattr(v, field_name) for v in self.tenants.values()
-                )
-                if tenant_sum != getattr(self.total, field_name):
-                    problems.append(
-                        f"tenant lanes sum {field_name} {tenant_sum} != total "
-                        f"{getattr(self.total, field_name)}"
-                    )
-            reason_sum = sum(self.rejected_reasons.values())
-            if reason_sum != self.total.rejected:
-                problems.append(
-                    f"rejection reasons sum {reason_sum} != rejected "
-                    f"{self.total.rejected}"
-                )
-        return problems
+        return super().violations({"queued": in_queue})
 
     def reconcile_engines(self, engines: Mapping[str, object]) -> list[str]:
         """Cross-check against the routed engines' own counters.
@@ -190,10 +72,10 @@ class GatewayStats:
         engine.  So per persona, ``completed == engine.stats.requests``.
         """
         problems: list[str] = []
-        with self._lock:
-            persona_completed = {
-                name: lane.completed for name, lane in self.personas.items()
-            }
+        persona_completed = {
+            name: row.get("completed", 0)
+            for name, row in lanes_of(self.counts(), "persona").items()
+        }
         for persona, engine in sorted(engines.items()):
             want = persona_completed.get(persona, 0)
             got = engine.stats.requests
@@ -211,22 +93,23 @@ class GatewayStats:
                 )
         return problems
 
-    # ------------------------------------------------------------- summaries
-
     def as_dict(self) -> dict[str, object]:
         """JSON-serializable snapshot (used by the CLI and benchmarks)."""
-        with self._lock:
-            return {
-                "total": self.total.as_dict(),
-                "tenants": {
-                    k: v.as_dict() for k, v in sorted(self.tenants.items())
-                },
-                "personas": {
-                    k: v.as_dict() for k, v in sorted(self.personas.items())
-                },
-                "rejected_reasons": {
-                    k: self.rejected_reasons[k]
-                    for k in sorted(self.rejected_reasons)
-                },
-                "queue_high_water": self.queue_high_water,
-            }
+        counts = self.counts()
+
+        def funnel(row: Mapping[str, int]) -> dict[str, int]:
+            return {name: row.get(name, 0) for name in _FUNNEL}
+
+        def lanes(kind: str) -> dict[str, Mapping[str, int]]:
+            return dict(sorted(lanes_of(counts, kind).items()))
+
+        total = counts.get(TOTAL, {})
+        return {
+            "total": funnel(total),
+            "tenants": {k: funnel(v) for k, v in lanes("tenant").items()},
+            "personas": {k: funnel(v) for k, v in lanes("persona").items()},
+            "rejected_reasons": {
+                k: v["rejected"] for k, v in lanes("reason").items()
+            },
+            "queue_high_water": total.get("queue_high_water", 0),
+        }

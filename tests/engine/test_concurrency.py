@@ -78,7 +78,8 @@ class TestConcurrentMatching:
         assert stats.deduped + stats.batched_requests == stats.cache_misses
         assert stats.failures == 0
         assert stats.fallbacks == 0
-        assert len(stats.latencies) == stats.batched_requests
+        assert sum(w for _, w in stats.samples("latency")) == stats.batched_requests
+        assert stats.violations() == []
 
         # Dedup/caching really engaged: 1600 requests cannot all have
         # been dispatched when only 120 prompts are distinct.
@@ -105,6 +106,8 @@ class TestGuardedByEnforced:
     def test_engine_classes_declare_guards(self, lock_analysis):
         table, _ = lock_analysis
         assert table.guarded_fields_of("repro.engine.engine.MatchingEngine")
+        assert table.guarded_fields_of("repro.obs.Counters")
+        # Inherited: the engine's counters live in the registry's tables.
         assert table.guarded_fields_of("repro.engine.stats.EngineStats")
         assert table.guarded_fields_of("repro.engine.cache.ResultCache")
 

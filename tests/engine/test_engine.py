@@ -124,15 +124,55 @@ class TestSchedulingAndStats:
         snapshot = engine.stats.as_dict()
         assert snapshot["requests"] == 2
         assert snapshot["deduped"] == 1
-        assert set(snapshot["latency"]) == {"p50", "p95", "p99"}
+        assert "latency" not in snapshot
+        assert set(engine.stats.latency_percentiles()) == {"p50", "p95", "p99"}
         rendered = engine.stats.render()
         assert "hit_rate" in rendered and "batches" in rendered
+        assert "latency" in rendered
 
     def test_reset_stats(self):
         engine = MatchingEngine(backend=EchoBackend())
         engine.match_pairs([("a", "b")])
         engine.reset_stats()
         assert engine.stats.requests == 0
+
+
+class TestDeclaredBalances:
+    """Each engine balance catches one counter drifting on its own."""
+
+    @pytest.fixture
+    def stats(self):
+        engine = MatchingEngine(
+            backend=EchoBackend(), scheduler=Scheduler(max_batch_size=4)
+        )
+        engine.match_pairs([(f"l{i}", f"r{i % 5}") for i in range(10)])
+        engine.match_pairs([("l0", "r0"), ("x", "y"), ("x", "y")])
+        assert engine.stats.violations() == []
+        return engine.stats
+
+    def test_batch_without_a_flush_reason(self, stats):
+        batches = stats.batches
+        stats.add("batches")
+        assert stats.violations() == [
+            f"flush lanes sum batches {batches} != total batches {batches + 1}"
+        ]
+
+    def test_miss_neither_dispatched_nor_deduped(self, stats):
+        misses, deduped, dispatched = (
+            stats.cache_misses, stats.deduped, stats.batched_requests
+        )
+        stats.add("requests", "cache_misses")
+        assert stats.violations() == [
+            f"total: cache_misses {misses + 1} != deduped {deduped} + "
+            f"batched_requests {dispatched}"
+        ]
+
+    def test_unclassed_retry(self, stats):
+        stats.add("retries")
+        assert stats.violations() == [
+            "total: timeouts 0 + transport_errors 0 + circuit_open 0 + "
+            "malformed 0 != retries 1 + failures 0"
+        ]
 
 
 class TestMatchBlockingEquivalence:

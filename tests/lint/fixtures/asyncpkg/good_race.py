@@ -6,6 +6,20 @@ from typing import Annotated
 from asyncpkg.concurrency import guarded_by
 
 
+class Tally:
+    """Locks its own state; its ``add`` is a method, not a set mutation."""
+
+    total: Annotated[int, guarded_by("_lock")]
+
+    def __init__(self) -> None:
+        self.total = 0
+        self._lock = threading.Lock()
+
+    def add(self, n: int) -> None:
+        with self._lock:
+            self.total += n
+
+
 class GuardedShared:
     """Declared guard: every access holds the lock (deep-lock-field checks)."""
 
@@ -15,6 +29,7 @@ class GuardedShared:
         self.items = []
         self._lock = threading.Lock()
         self.thread = None
+        self.tally = Tally()
 
     def start(self) -> None:
         self.thread = threading.Thread(target=self._worker)
@@ -23,8 +38,10 @@ class GuardedShared:
     def _worker(self) -> None:
         with self._lock:
             self.items.append(1)
+        self.tally.add(1)
 
     async def drain(self) -> list:
+        self.tally.add(0)
         with self._lock:
             return list(self.items)
 

@@ -98,9 +98,9 @@ class TestGuardedBy:
 
     def test_real_engine_declarations(self):
         table = SymbolTable.build(REPO_ROOT, ("src/repro",))
-        stats = table.classes["repro.engine.stats.EngineStats"]
-        assert stats.guarded_fields["requests"] == "_lock"
-        assert stats.guarded_fields["latencies"] == "_lock"
+        counters = table.classes["repro.obs.Counters"]
+        assert counters.guarded_fields["_counts"] == "_lock"
+        assert counters.guarded_fields["_samples"] == "_lock"
         engine = table.classes["repro.engine.engine.MatchingEngine"]
         assert engine.guarded_fields == {
             "_in_flight": "_lock",

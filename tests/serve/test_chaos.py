@@ -60,21 +60,45 @@ class TestSweep:
 
 
 class TestViolationDetection:
-    def test_corrupted_counters_are_caught(self):
+    LANES = (("tenant", "a"), ("persona", "p"))
+
+    def _one_completed(self) -> GatewayStats:
         stats = GatewayStats()
-        stats.record_submitted("a", "p")
-        stats.record_admitted("a", "p", depth=1)
+        stats.add("submitted", lanes=self.LANES)
+        stats.add("admitted", lanes=self.LANES)
+        stats.add("completed", lanes=self.LANES)
+        assert stats.violations() == []
+        return stats
+
+    def test_corrupted_counters_are_caught(self):
+        stats = self._one_completed()
         # Claim a completion that never happened alongside the real one.
-        stats.record_outcome("a", "p", "completed")
-        stats.total.completed += 1
+        stats.add("completed")
         problems = stats.violations()
         assert problems and any("completed" in p for p in problems)
 
     @pytest.mark.parametrize("in_queue", [1, 5])
     def test_phantom_queue_depth_is_a_violation(self, in_queue):
-        stats = GatewayStats()
-        stats.record_submitted("a", "p")
-        stats.record_admitted("a", "p", depth=1)
-        stats.record_outcome("a", "p", "completed")
+        stats = self._one_completed()
         assert stats.violations(in_queue=0) == []
         assert stats.violations(in_queue=in_queue) != []
+
+    def test_request_missing_from_persona_lanes_is_caught(self):
+        # Total and tenant lanes agree; only the persona lanes fall short.
+        stats = self._one_completed()
+        stats.add("submitted", "admitted", "completed", lanes=(("tenant", "a"),))
+        problems = stats.violations()
+        assert problems == [
+            "persona lanes sum submitted 1 != total rejected 0 + admitted 2",
+            "persona lanes sum admitted 1 != total admitted 2",
+            "persona lanes sum completed 1 != total completed 2",
+        ]
+
+    def test_unknown_persona_error_keeps_persona_lanes_balanced(self):
+        stats = self._one_completed()
+        stats.add("submitted", "errors", lanes=(("tenant", "a"),))
+        assert stats.violations() == []
+        # An error counted in a persona lane breaks the persona sums.
+        stats.add("errors", lanes=(("persona", "p"),))
+        assert any("persona lanes sum errors" in p
+                   for p in stats.violations())
