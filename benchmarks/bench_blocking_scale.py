@@ -142,7 +142,6 @@ def run_blocking_scale(
             rows=int(config["rows"]),
             min_similarity=float(config["min_similarity"]),
             seed=SEED,
-            shards=8,
         )
         rate = _ingest(index, corpus.records)
         # One ranked pass serves every cut-off: recall at k comes from

@@ -17,7 +17,7 @@ Subcommands::
         [--format text|json] [--golden] [--stats] [--no-short-circuit]
     repro-em index (--dataset NAME [--split test] | --synthetic N)
         [--num-perm N] [--threshold F] [--bands B --rows R]
-        [--min-similarity F] [--shards N] [--seed N] [--top-k N]
+        [--min-similarity F] [--seed N] [--top-k N]
         [--stats] [--format text|json]
     repro-em lint [PATHS ...] [--rule ID ...] [--format text|json]
         [--list-rules] [--deep] [--baseline FILE] [--update-baseline]
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("--rows", type=int, default=None)
     idx.add_argument("--min-similarity", type=float, default=0.0,
                      help="estimated-Jaccard floor on candidates")
-    idx.add_argument("--shards", type=int, default=8)
     idx.add_argument("--seed", type=int, default=0)
     idx.add_argument("--top-k", type=int, default=10,
                      help="deepest rank cut-off in the recall curve")
@@ -671,7 +670,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         bands=args.bands,
         rows=args.rows,
         seed=args.seed,
-        shards=args.shards,
         min_similarity=args.min_similarity,
     )
     start = time.perf_counter()
@@ -712,7 +710,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     stats = payload["index"]
     print(
         f"{source}: {len(records)} records -> {stats['buckets']} buckets "
-        f"over {stats['shards']} shards "
         f"(bands {stats['bands']} x rows {stats['rows']}, "
         f"{stats['unindexable']} unindexable)"
     )

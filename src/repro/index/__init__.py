@@ -1,10 +1,10 @@
 """Scalable candidate generation: MinHash signatures, LSH banding,
-sharded band-bucket postings, and top-k ranking by estimated Jaccard.
+band-bucket postings, and top-k ranking by estimated Jaccard.
 
 The layer between records and the matching engine (DESIGN.md §17):
 
     tokens ──MinHasher──▶ signature ──LSHBanding──▶ band keys
-           ──ShardedBandIndex──▶ colliding candidates
+           ──postings map──▶ colliding candidates
            ──rank_candidates──▶ top-k by estimated Jaccard
 
 Entry points:
@@ -31,7 +31,6 @@ from repro.index.lsh import (
 )
 from repro.index.minhash import MinHasher, estimated_jaccard, exact_jaccard
 from repro.index.protocol import Blocker, CandidateIndex
-from repro.index.shard import ShardedBandIndex
 from repro.index.topk import RankedCandidate, rank_candidates
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "MinHashCandidateIndex",
     "MinHasher",
     "RankedCandidate",
-    "ShardedBandIndex",
     "collision_probability",
     "estimated_jaccard",
     "exact_jaccard",

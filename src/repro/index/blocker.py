@@ -1,8 +1,8 @@
 """Batch MinHash/LSH blocking with per-record top-k ranking.
 
 Implements the :class:`~repro.index.protocol.Blocker` shape over the
-index subsystem: the right collection is signed and banded into a
-:class:`~repro.index.shard.ShardedBandIndex`, every left record probes
+index subsystem: each collection is signed in one bulk pass, the right
+one is banded into a band-bucket postings map, every left record probes
 it, and the colliding candidates are ranked by estimated Jaccard with
 only the top *k* kept.  Unlike the incremental path, a rank cut-off is
 sound here — the candidate set is a deterministic function of the two
@@ -15,9 +15,8 @@ from __future__ import annotations
 from repro.blocking.base import BlockingResult
 from repro.blocking.token import blocking_tokens
 from repro.datasets.schema import Record
-from repro.index.lsh import LSHBanding
+from repro.index.lsh import LSHBanding, add_postings, colliding_ids
 from repro.index.minhash import MinHasher
-from repro.index.shard import ShardedBandIndex
 from repro.index.topk import rank_candidates
 
 __all__ = ["MinHashBlocker"]
@@ -40,7 +39,6 @@ class MinHashBlocker:
         bands: int | None = None,
         rows: int | None = None,
         seed: int = 0,
-        shards: int = 1,
         min_similarity: float = 0.0,
     ) -> None:
         if k is not None and k <= 0:
@@ -52,7 +50,6 @@ class MinHashBlocker:
         self.k = k
         self.min_similarity = min_similarity
         self.seed = seed
-        self.shards = shards
         if bands is not None and rows is not None:
             self.banding = LSHBanding(bands, rows)
         else:
@@ -63,29 +60,25 @@ class MinHashBlocker:
     ) -> BlockingResult:
         """Produce candidate pairs between two record collections."""
         hasher = MinHasher(num_perm=self.banding.num_perm, seed=self.seed)
-        postings = ShardedBandIndex(shards=self.shards)
-        signatures: dict[str, object] = {}
+        right_matrix, right_signed = hasher.signatures(
+            blocking_tokens(record.description) for record in right
+        )
         # Zero-padded ids sort lexicographically like integers, so the
         # deterministic tie-break ranks equal-similarity candidates by
         # their position in the right collection.
         width = len(str(max(len(right) - 1, 0)))
-        for j, record in enumerate(right):
-            signature = hasher.signature(
-                blocking_tokens(record.description)
-            )
-            if signature is None:
-                continue
-            name = f"{j:0{width}d}"
-            signatures[name] = signature
-            postings.add(name, self.banding.band_keys(signature))
+        names = [f"{j:0{width}d}" for j in right_signed]
+        signatures = dict(zip(names, right_matrix))
+        postings: dict[int, list[str]] = {}
+        add_postings(postings, names, self.banding.band_key_rows(right_matrix))
+        left_matrix, left_signed = hasher.signatures(
+            blocking_tokens(record.description) for record in left
+        )
         candidates: set[tuple[int, int]] = set()
-        for i, record in enumerate(left):
-            signature = hasher.signature(
-                blocking_tokens(record.description)
-            )
-            if signature is None:
-                continue
-            found = postings.query(self.banding.band_keys(signature))
+        for i, signature, keys in zip(
+            left_signed, left_matrix, self.banding.band_key_rows(left_matrix)
+        ):
+            found = colliding_ids(postings, keys)
             ranked = rank_candidates(
                 signature,
                 [(name, signatures[name]) for name in found],

@@ -1,8 +1,8 @@
 """MinHash/LSH incremental candidate index for online ingestion.
 
 The pipeline per record: tokenize (blocking tokens) → MinHash signature
-→ LSH band keys → sharded postings.  The candidate predicate served to
-:class:`~repro.resolve.incremental.ResolutionStore` is
+→ LSH band keys → band-bucket postings.  The candidate predicate served
+to :class:`~repro.resolve.incremental.ResolutionStore` is
 
     *candidates iff the two records share at least one band bucket and
     their estimated Jaccard is at least* ``min_similarity``,
@@ -18,11 +18,17 @@ and on the batch :class:`~repro.index.blocker.MinHashBlocker`, where the
 candidate set is a deterministic function of the full collections.
 
 Signatures are stored in one contiguous ``(capacity, num_perm)`` uint64
-matrix (doubling growth), so evaluating the similarity floor — or a
-ranking — over a query's band collisions is a single fancy-indexed
+matrix (at least doubling growth), so evaluating the similarity floor —
+or a ranking — over a query's band collisions is a single fancy-indexed
 numpy comparison rather than a per-candidate dict walk; at 100k records
 a query touches ~1000 collisions and this is the difference between
 microseconds and milliseconds.
+
+Records enter one at a time through :meth:`add` (live ingestion) or
+many at once through :meth:`add_many` (journal replay, snapshot
+restore): one signing pass over the batch, one band-key matrix, one
+matrix growth.  Both paths append rows and postings through the same
+helper, so a batch leaves exactly the state a loop of ``add`` would.
 
 The store queries a record's candidates right after adding it, so the
 index keeps the last description it hashed beside its signature and
@@ -30,21 +36,21 @@ reuses it when the same description comes back.  The slot holds one
 signature, never a memo that grows; a signature is a pure function of
 the description, so every caller gets the answer a fresh hash would.
 
-The index itself is not locked — the store guards it, like
-:class:`~repro.resolve.incremental.TokenCandidateIndex` — but the shard
-layer underneath carries per-shard locks so direct concurrent use of
-:class:`~repro.index.shard.ShardedBandIndex` stays safe.
+Postings are one plain ``dict`` from band key to the ids in that
+bucket, in insertion order.  The index is not locked: the store guards
+it, like :class:`~repro.resolve.incremental.TokenCandidateIndex`.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from repro.blocking.token import blocking_tokens
-from repro.index.lsh import LSHBanding
+from repro.index.lsh import LSHBanding, add_postings, colliding_ids
 from repro.index.minhash import MinHasher
 from repro.index.protocol import CandidateIndex
-from repro.index.shard import ShardedBandIndex
 from repro.index.topk import RankedCandidate
 
 __all__ = ["MinHashCandidateIndex"]
@@ -68,7 +74,6 @@ class MinHashCandidateIndex(CandidateIndex):
         bands: int | None = None,
         rows: int | None = None,
         seed: int = 0,
-        shards: int = 8,
         min_similarity: float = 0.0,
     ) -> None:
         if (bands is None) != (rows is None):
@@ -81,7 +86,8 @@ class MinHashCandidateIndex(CandidateIndex):
             self.banding = LSHBanding.from_threshold(num_perm, threshold)
         self.hasher = MinHasher(num_perm=self.banding.num_perm, seed=seed)
         self.min_similarity = min_similarity
-        self._postings = ShardedBandIndex(shards=shards)
+        #: band key -> ids in that bucket, in insertion order.
+        self._postings: dict[int, list[str]] = {}
         self._row: dict[str, int] = {}
         self._matrix = np.empty(
             (_INITIAL_CAPACITY, self.banding.num_perm), dtype=np.uint64
@@ -112,17 +118,44 @@ class MinHashCandidateIndex(CandidateIndex):
         if signature is None:
             self.unindexable += 1
             return
-        if self._count == len(self._matrix):
+        self._append([record_id], signature[np.newaxis, :])
+
+    def add_many(self, items: Iterable[tuple[str, str]]) -> None:
+        """Index ``(record_id, description)`` pairs in one bulk pass.
+
+        Leaves the state a loop of :meth:`add` over *items* would.  Every
+        id is checked first: a batch that repeats an id, or names one
+        already indexed, raises before anything changes.
+        """
+        items = list(items)
+        fresh: set[str] = set()
+        for record_id, _ in items:
+            if record_id in self._row or record_id in fresh:
+                raise ValueError(f"record {record_id!r} already indexed")
+            fresh.add(record_id)
+        matrix, signed = self.hasher.signatures(
+            blocking_tokens(description) for _, description in items
+        )
+        self.unindexable += len(items) - len(signed)
+        self._append([items[position][0] for position in signed], matrix)
+
+    def _append(self, ids: Sequence[str], signatures: np.ndarray) -> None:
+        """Store *signatures* as the next rows and post their band keys."""
+        count = self._count
+        needed = count + len(ids)
+        if needed > len(self._matrix):
             grown = np.empty(
-                (2 * len(self._matrix), self.banding.num_perm),
+                (max(2 * len(self._matrix), needed), self.banding.num_perm),
                 dtype=np.uint64,
             )
-            grown[: self._count] = self._matrix
+            grown[:count] = self._matrix[:count]
             self._matrix = grown
-        self._matrix[self._count] = signature
-        self._row[record_id] = self._count
-        self._count += 1
-        self._postings.add(record_id, self.banding.band_keys(signature))
+        self._matrix[count:needed] = signatures
+        self._row.update(zip(ids, range(count, needed)))
+        self._count = needed
+        add_postings(
+            self._postings, ids, self.banding.band_key_rows(signatures)
+        )
 
     def _floor_similarities(
         self, signature: np.ndarray, found: list[str]
@@ -145,11 +178,10 @@ class MinHashCandidateIndex(CandidateIndex):
         signature = self._signature(description)
         if signature is None:
             return ()
+        keys = self.banding.band_keys(signature)
         found = [
             record_id
-            for record_id in self._postings.query(
-                self.banding.band_keys(signature)
-            )
+            for record_id in colliding_ids(self._postings, keys)
             if record_id != exclude
         ]
         if not found or self.min_similarity == 0.0:
@@ -199,20 +231,19 @@ class MinHashCandidateIndex(CandidateIndex):
                 f"snapshot row mismatch: {len(ids)} ids, "
                 f"{len(signatures)} signatures"
             )
-        capacity = max(_INITIAL_CAPACITY, len(ids))
         self._matrix = np.empty(
-            (capacity, self.banding.num_perm), dtype=np.uint64
+            (_INITIAL_CAPACITY, self.banding.num_perm), dtype=np.uint64
         )
-        if ids:
-            self._matrix[: len(ids)] = np.asarray(signatures, dtype=np.uint64)
-        self._row = {record_id: row for row, record_id in enumerate(ids)}
-        self._count = len(ids)
+        self._row = {}
+        self._count = 0
+        self._postings = {}
         self.unindexable = int(state.get("unindexable", 0))
-        self._postings = ShardedBandIndex(shards=self._postings.shard_count)
-        for row, record_id in enumerate(ids):
-            self._postings.add(
-                record_id, self.banding.band_keys(self._matrix[row])
-            )
+        self._append(
+            ids,
+            np.asarray(signatures, dtype=np.uint64).reshape(
+                len(ids), self.banding.num_perm
+            ),
+        )
 
     def signature_of(self, record_id: str) -> np.ndarray | None:
         """The stored signature of an indexed record (None if token-less)."""
@@ -238,11 +269,10 @@ class MinHashCandidateIndex(CandidateIndex):
         if row is None:
             return ()
         signature = self._matrix[row]
+        keys = self.banding.band_keys(signature)
         found = [
             other
-            for other in self._postings.query(
-                self.banding.band_keys(signature)
-            )
+            for other in colliding_ids(self._postings, keys)
             if other != record_id
         ]
         if not found:
@@ -263,7 +293,8 @@ class MinHashCandidateIndex(CandidateIndex):
         return tuple(ranked)
 
     def stats(self) -> dict[str, object]:
-        """Index composition snapshot (shard layout, bucket fill)."""
+        """Index composition snapshot (banding, bucket fill)."""
+        sizes = [len(ids) for ids in self._postings.values()]
         return {
             "records": len(self),
             "indexed": self._count,
@@ -272,5 +303,7 @@ class MinHashCandidateIndex(CandidateIndex):
             "bands": self.banding.bands,
             "rows": self.banding.rows,
             "min_similarity": self.min_similarity,
-            **self._postings.stats(),
+            "buckets": len(sizes),
+            "postings": sum(sizes),
+            "max_bucket": max(sizes, default=0),
         }

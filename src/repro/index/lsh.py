@@ -16,16 +16,23 @@ S-curve) on ties.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro._util import derive_rng
 
 __all__ = [
     "LSHBanding",
+    "add_postings",
+    "colliding_ids",
     "collision_probability",
     "solve_banding",
     "threshold_at",
 ]
+
+#: signature rows mixed per block in :meth:`LSHBanding.band_key_rows`.
+_BLOCK_ROWS = 4096
 
 
 def threshold_at(bands: int, rows: int) -> float:
@@ -115,13 +122,51 @@ class LSHBanding:
         return self.bands * self.rows
 
     def band_keys(self, signature: np.ndarray) -> tuple[int, ...]:
-        """One bucket key per band for *signature*."""
-        if signature.shape != (self.num_perm,):
+        """One bucket key per band for *signature* (a one-row matrix)."""
+        return tuple(self.band_key_rows(signature.reshape(1, -1))[0])
+
+    def band_key_rows(self, signatures: np.ndarray) -> list[list[int]]:
+        """One list of band keys per row of a ``(n, num_perm)`` matrix.
+
+        Rows are mixed :data:`_BLOCK_ROWS` at a time, so the uint64
+        scratch stays bounded for any *n*.
+        """
+        if signatures.ndim != 2 or signatures.shape[1] != self.num_perm:
             raise ValueError(
-                f"signature width {signature.shape} != "
+                f"signature width {signatures.shape} != "
                 f"bands*rows = {self.num_perm}"
             )
-        mixed = (
-            self._coefficients * signature.reshape(self.bands, self.rows)
-        ).sum(axis=1, dtype=np.uint64) + self._offsets
-        return tuple(mixed.tolist())
+        keys: list[list[int]] = []
+        for low in range(0, len(signatures), _BLOCK_ROWS):
+            block = signatures[low:low + _BLOCK_ROWS]
+            mixed = (
+                self._coefficients
+                * block.reshape(len(block), self.bands, self.rows)
+            ).sum(axis=2, dtype=np.uint64) + self._offsets
+            keys.extend(mixed.tolist())
+        return keys
+
+
+def add_postings(
+    postings: dict[int, list[str]],
+    ids: Sequence[str],
+    key_rows: Sequence[Sequence[int]],
+) -> None:
+    """Append each id to the bucket of every one of its band keys."""
+    for record_id, keys in zip(ids, key_rows):
+        for key in keys:
+            posting = postings.get(key)
+            if posting is None:
+                postings[key] = [record_id]
+            else:
+                posting.append(record_id)
+
+
+def colliding_ids(
+    postings: dict[int, list[str]], keys: Sequence[int]
+) -> list[str]:
+    """Sorted distinct ids in any of the *keys* buckets."""
+    found: set[str] = set()
+    for key in keys:
+        found.update(postings.get(key, ()))
+    return sorted(found)

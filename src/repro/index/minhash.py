@@ -22,6 +22,7 @@ forbids (see :func:`repro.blocking.token.blocking_tokens`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable
 
 import numpy as np
@@ -29,6 +30,9 @@ import numpy as np
 from repro._util import derive_rng, stable_hash
 
 __all__ = ["MinHasher", "estimated_jaccard", "exact_jaccard"]
+
+#: token columns per multiply-shift block (~3 MB of scratch at 96 perms).
+_BLOCK_COLUMNS = 4096
 
 
 class MinHasher:
@@ -68,17 +72,62 @@ class MinHasher:
         """MinHash signature of the distinct *tokens*, or None if empty.
 
         The result is a ``(num_perm,)`` uint64 array; token order (and
-        multiplicity) never affects it.
+        multiplicity) never affects it.  The one-row case of
+        :meth:`signatures`.
         """
-        distinct = set(tokens)
-        if not distinct:
-            return None
-        hashes = np.fromiter(
-            (self._token_hash(t) for t in sorted(distinct)),
-            dtype=np.uint64,
-            count=len(distinct),
-        )
-        return (self._a * hashes[np.newaxis, :] + self._b).min(axis=1)
+        matrix, signed = self.signatures([tokens])
+        return matrix[0] if signed else None
+
+    def signatures(
+        self, token_lists: Iterable[Iterable[str]]
+    ) -> tuple[np.ndarray, list[int]]:
+        """Signatures of many token sets in one pass.
+
+        Returns ``(matrix, signed)``: ``signed`` lists the input
+        positions that have at least one token, in input order, and row
+        ``i`` of the ``(len(signed), num_perm)`` uint64 *matrix* is the
+        signature of input ``signed[i]``.  Token-less inputs get no row.
+
+        Every set's token hashes are laid end to end in one column
+        vector; each block of at most :data:`_BLOCK_COLUMNS` columns
+        takes one ``(num_perm, columns)`` multiply-shift product and
+        one ``np.minimum.reduceat`` over the set boundaries inside it.
+        A set cut by a block edge keeps the minimum of its two parts,
+        so the result does not depend on the blocking, and scratch
+        memory stays bounded however many sets come in.
+        """
+        signed: list[int] = []
+        starts: list[int] = []
+        hashes: list[int] = []
+        for position, tokens in enumerate(token_lists):
+            distinct = set(tokens)
+            if distinct:
+                signed.append(position)
+                starts.append(len(hashes))
+                hashes.extend(self._token_hash(t) for t in distinct)
+        column = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
+        blocks: list[np.ndarray] = []
+        first = 0
+        for low in range(0, len(hashes), _BLOCK_COLUMNS):
+            high = low + _BLOCK_COLUMNS
+            # Sets [first, last) have columns in this block; the first
+            # one carries over when it began in an earlier block.
+            last = bisect_left(starts, high, first)
+            cuts = [start - low for start in starts[first:last]]
+            carried = cuts[0] < 0
+            cuts[0] = 0
+            product = self._a * column[low:high] + self._b
+            minima = np.minimum.reduceat(product, cuts, axis=1).T
+            if carried:
+                np.minimum(minima[0], blocks[-1][-1], out=minima[0])
+                blocks[-1] = blocks[-1][:-1]
+            blocks.append(minima)
+            first = bisect_right(starts, high, first) - 1
+        if not blocks:
+            return np.empty((0, self.num_perm), dtype=np.uint64), signed
+        if len(blocks) == 1:
+            return blocks[0], signed
+        return np.concatenate(blocks), signed
 
 
 def estimated_jaccard(a: np.ndarray, b: np.ndarray) -> float:

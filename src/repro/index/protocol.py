@@ -21,13 +21,13 @@ Two shapes cover every blocking strategy in the library:
 ``typing.Protocol``: the lock-discipline analyzer (``repro-em lint
 --deep``) treats Protocol-declared methods as blocking I/O boundaries,
 and the candidate index is in-memory state that the store *must* touch
-under its lock.  Implementations subclass it (or just match its shape —
-the store only duck-types).
+under its lock.  Implementations subclass it; the base class supplies
+``add_many`` as a loop of ``add``.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from repro.blocking.base import BlockingResult
 from repro.datasets.schema import Record
@@ -50,7 +50,9 @@ class CandidateIndex:
 
     The contract (relied on by ``ResolutionStore``):
 
-    * ``add`` indexes one record's description;
+    * ``add`` indexes one record's description; ``add_many`` indexes a
+      batch and must leave the state a loop of ``add`` would (the store
+      replays a journal through it);
     * ``candidates`` returns the **sorted** ids of already-indexed
       records that are candidates for *description*, excluding
       ``exclude``;
@@ -69,6 +71,11 @@ class CandidateIndex:
     def add(self, record_id: str, description: str) -> None:
         """Index one record's description."""
         raise NotImplementedError
+
+    def add_many(self, items: Iterable[tuple[str, str]]) -> None:
+        """Index ``(record_id, description)`` pairs in order."""
+        for record_id, description in items:
+            self.add(record_id, description)
 
     def candidates(
         self, description: str, exclude: str | None = None

@@ -802,8 +802,10 @@ class ResolutionStore:
                 # No serialized index state: rebuild it by re-indexing
                 # every record in insertion order (same end state, pays
                 # tokenization/hashing again).
-                for record in records:
-                    self._index.add(record.record_id, record.description)
+                self._index.add_many(
+                    (record.record_id, record.description)
+                    for record in records
+                )
             # Materialized partition: load it flat and register the
             # must-link bookkeeping without re-running a union per pair —
             # connectivity is already in the components.
@@ -861,14 +863,22 @@ class ResolutionStore:
                     path=path,
                 )
         with self._lock:
+            fresh: set[str] = set()
             for record in records:
-                if record.record_id in self._records:
+                record_id = record.record_id
+                if record_id in self._records or record_id in fresh:
                     raise JournalError(
-                        f"{path}: record {record.record_id!r} journaled twice",
+                        f"{path}: record {record_id!r} journaled twice",
                         path=path,
                     )
+                fresh.add(record_id)
+            # One bulk index build; the loop below keeps the per-record
+            # union-find and must-link order of a live ingest.
+            self._index.add_many(
+                (record.record_id, record.description) for record in records
+            )
+            for record in records:
                 self._records[record.record_id] = record
-                self._index.add(record.record_id, record.description)
                 self._uf.add(record.record_id)
                 for partner in self._must_by_member.get(record.record_id, ()):
                     if partner in self._records:

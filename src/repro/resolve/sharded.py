@@ -7,9 +7,8 @@ directory — so shards crash, recover, and compact independently, and
 recovery parallelizes across them.
 
 **Routing: replicate on blocking keys.**  A record is ingested into
-*every* shard that owns one of its blocking keys (``key % K``, the same
-pure routing function :class:`~repro.index.shard.ShardedBandIndex` uses
-for postings).  Keys come from the candidate index itself
+*every* shard that owns one of its blocking keys (``key % K``, a pure
+function of the key).  Keys come from the candidate index itself
 (:meth:`~repro.index.protocol.CandidateIndex.blocking_keys`): stable
 token hashes for the shared-token index, LSH band keys for the MinHash
 index — so for any pair the index would ever surface as candidates, the

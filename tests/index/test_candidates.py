@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets.synthetic import synthetic_dedup_corpus
 from repro.index import MinHashCandidateIndex, MinHashBlocker, rank_candidates
+from repro.index.lsh import colliding_ids
 
 
 def _index(**kwargs):
@@ -99,16 +100,16 @@ class TestPredicate:
 
 
 class _CountingHasher:
-    """Counts calls through ``MinHasher.signature`` on one index."""
+    """Counts calls through ``MinHasher.signatures``, the one signing path."""
 
     def __init__(self, index):
         self.calls = 0
-        self._signature = index.hasher.signature
-        index.hasher.signature = self
+        self._signatures = index.hasher.signatures
+        index.hasher.signatures = self
 
-    def __call__(self, tokens):
+    def __call__(self, token_lists):
         self.calls += 1
-        return self._signature(tokens)
+        return self._signatures(token_lists)
 
 
 class TestSignatureReuse:
@@ -170,8 +171,8 @@ class TestTopCandidates:
             signature = index.signature_of(record.record_id)
             found = [
                 other
-                for other in index._postings.query(
-                    index.banding.band_keys(signature)
+                for other in colliding_ids(
+                    index._postings, index.banding.band_keys(signature)
                 )
                 if other != record.record_id
             ]
@@ -193,7 +194,7 @@ class TestTopCandidates:
 
 class TestStats:
     def test_snapshot_shape(self):
-        index = _index(shards=4)
+        index = _index()
         index.add("a", "acme widget")
         index.add("b", "...")
         stats = index.stats()
@@ -201,7 +202,6 @@ class TestStats:
         assert stats["indexed"] == 1
         assert stats["unindexable"] == 1
         assert stats["bands"] == 32 and stats["rows"] == 3
-        assert stats["shards"] == 4
         assert stats["postings"] == 32  # one signature, one posting per band
 
     def test_signature_of_returns_a_copy(self):

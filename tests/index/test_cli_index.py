@@ -5,6 +5,7 @@ JSON output must be byte-identical across runs — the payloads exclude
 wall-clock measurements precisely so the CLI can be snapshot-tested.
 """
 
+import hashlib
 import json
 
 from repro.cli import main
@@ -12,6 +13,13 @@ from repro.cli import main
 
 class TestIndexCommand:
     ARGS = ["index", "--synthetic", "300", "--stats", "--format", "json"]
+    #: sha256 of the stdout of ARGS.
+    DIGEST = "b16eeb7730bb879c409e48471288ed71ab99804b3137ce155809e91849766242"
+
+    def test_json_output_is_pinned(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGEST
 
     def test_json_output_is_byte_identical_across_runs(self, capsys):
         assert main(self.ARGS) == 0
@@ -50,6 +58,8 @@ class TestIndexCommand:
     def test_text_format_renders_ingest_and_curve(self, capsys):
         assert main(["index", "--synthetic", "200", "--stats"]) == 0
         out = capsys.readouterr().out
+        assert "synthetic:200: 200 records -> " in out
+        assert " buckets (bands " in out
         assert "records/sec" in out
         assert "recall" in out
 

@@ -9,6 +9,7 @@ from repro.index import (
     solve_banding,
     threshold_at,
 )
+from repro.index.lsh import add_postings, colliding_ids
 
 
 class TestScurve:
@@ -110,3 +111,18 @@ class TestBandKeys:
     def test_validation(self):
         with pytest.raises(ValueError, match="bands and rows"):
             LSHBanding(0, 3)
+
+
+class TestPostings:
+    def test_query_returns_sorted_distinct_ids(self):
+        postings = {}
+        add_postings(postings, ["b", "a"], [[1, 2], [2, 3]])
+        # key 2 holds both, in insertion order; keys [1, 2, 3] reach
+        # each id twice.
+        assert postings[2] == ["b", "a"]
+        assert colliding_ids(postings, [1, 2, 3]) == ["a", "b"]
+
+    def test_missing_keys_are_empty(self):
+        postings = {}
+        add_postings(postings, ["a"], [[1]])
+        assert colliding_ids(postings, [999]) == []

@@ -11,6 +11,8 @@ bump the journal/snapshot version and regenerate the digests.
 
 import hashlib
 
+import pytest
+
 from repro.engine import MatchingEngine
 from repro.engine.retry import RetryPolicy
 from repro.faults import ParityBackend, synthetic_records
@@ -20,6 +22,11 @@ from repro.resolve.sharded import ShardedResolutionStore
 from repro.resolve.snapshot import snapshot_path_for
 
 RECORDS = synthetic_records(40, seed=3)
+#: ten records past the pinned store, for continuing a recovered one.
+MORE = synthetic_records(50, seed=3)[40:]
+MUST_LINK = [("r001", "r038")]
+#: snapshot bytes of the uninterrupted 40-record MinHash store.
+MINHASH_STATE = "4bcbf41c584a780af6584b16e8d2210b3289070e3b5355cd2d6f1638e62abb46"
 
 
 def make_engine():
@@ -43,7 +50,7 @@ def store_digests(tmp_path, index):
         make_engine(),
         index=index,
         journal=path,
-        must_link=[("r001", "r038")],
+        must_link=MUST_LINK,
     ) as store:
         store.ingest_all(RECORDS[:30])
         assert store.add_must_link("r004", "r027")
@@ -67,6 +74,35 @@ class TestDurabilityGolden:
             "journal": "3994755b988d8b41b3c07d9162d46f6b0e016421064ca87fded7964f2e27f43c",
             "snapshot": "774a031ce9d515b633ac7644bb68aa30283066c56f2d8e012eafe8c4f07cf7a0",
         }
+
+    @pytest.mark.parametrize("snapshot", ["moved-away", "kept"])
+    def test_minhash_recovery_rebuilds_the_same_store(
+        self, tmp_path, snapshot
+    ):
+        """Full replay and snapshot + suffix both rebuild the pinned store.
+
+        The recovered store snapshots to the bytes of the uninterrupted
+        one, and ten more records decide exactly as in a run that never
+        stopped.
+        """
+        path = tmp_path / "wal.jsonl"
+        store_digests(tmp_path, MinHashCandidateIndex())
+        if snapshot == "moved-away":
+            snapshot_path_for(path).rename(tmp_path / "moved.snapshot")
+        with ResolutionStore.recover(
+            path, make_engine(), index=MinHashCandidateIndex(),
+            must_link=MUST_LINK,
+        ) as store:
+            assert sha256(store.snapshot(tmp_path / "state")) == MINHASH_STATE
+            store.ingest_all(MORE)
+            recovered = store.decision_log()
+        with ResolutionStore(
+            make_engine(), index=MinHashCandidateIndex(), must_link=MUST_LINK,
+        ) as uninterrupted:
+            uninterrupted.ingest_all(RECORDS[:30])
+            uninterrupted.add_must_link("r004", "r027")
+            uninterrupted.ingest_all([*RECORDS[30:], *MORE])
+            assert recovered == uninterrupted.decision_log()
 
     def test_sharded_directory(self, tmp_path):
         with ShardedResolutionStore(
