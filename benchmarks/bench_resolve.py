@@ -11,6 +11,14 @@ call).  For every backend the benchmark asserts the exhaustive and
 short-circuited runs produce the *identical* clustering and reports
 candidate volume, records/sec, and the engine-call saving.
 
+A store leg streams the same records one at a time through a
+:class:`~repro.resolve.ResolutionStore` over the MinHash/LSH candidate
+index, once asking every candidate pair and once with representative-
+first scoring (one member per existing cluster first, its other members
+only after a no, connected pairs skipped).  It asserts the same
+clustering and that asked plus skipped pairs equal the exhaustive run's
+pairs, and reports the pairs asked per record.
+
 Runs standalone (CI smoke) or under pytest-benchmark::
 
     PYTHONPATH=src python -m benchmarks.bench_resolve --smoke
@@ -27,8 +35,15 @@ from repro.datasets.registry import load_dataset
 from repro.datasets.schema import Split
 from repro.engine import MatchingEngine
 from repro.eval.reports import format_table
-from repro.index import MinHashBlocker
-from repro.resolve import cluster_scores, gold_clustering, resolve_blocking, split_records
+from repro.datasets.schema import Record
+from repro.index import MinHashBlocker, MinHashCandidateIndex
+from repro.resolve import (
+    ResolutionStore,
+    cluster_scores,
+    gold_clustering,
+    resolve_blocking,
+    split_records,
+)
 
 from benchmarks._output import emit, emit_json
 
@@ -126,7 +141,59 @@ def run_resolution(pairs: int) -> dict[str, object]:
             "cluster_scores": scores.as_dict(),
             "engine_stats": runs[True]["stats"].as_dict(),
         }
+    payload["store"] = run_store(split)
     return payload
+
+
+def run_store(split: Split) -> dict[str, object]:
+    """Stream the workload's records through the store, both ways."""
+    left, right = split_records(split)
+    records = [
+        Record(f"{side}:{r.record_id}", dict(r.attributes), r.description)
+        for side, rows in (("L", left), ("R", right))
+        for r in rows
+    ]
+    runs: dict[bool, dict[str, object]] = {}
+    for short_circuit in (False, True):
+        store = ResolutionStore(
+            MatchingEngine.for_model(MODEL),
+            index=MinHashCandidateIndex(
+                threshold=MINHASH_THRESHOLD, min_similarity=MINHASH_THRESHOLD
+            ),
+            short_circuit=short_circuit,
+        )
+        started = time.perf_counter()
+        store.ingest_all(records)
+        elapsed = time.perf_counter() - started
+        runs[short_circuit] = {
+            "clustering": store.clustering(),
+            "engine_calls": store.engine_calls,
+            "short_circuited": store.short_circuited,
+            "records_per_sec": round(len(records) / elapsed, 1),
+        }
+    exhaustive, shortcut = runs[False], runs[True]
+    # Representative-first scoring may only skip pairs whose endpoints
+    # are already connected: same clusters, every pair accounted for.
+    assert shortcut["clustering"] == exhaustive["clustering"]
+    assert (
+        shortcut["engine_calls"] + shortcut["short_circuited"]
+        == exhaustive["engine_calls"]
+    )
+    return {
+        "records": len(records),
+        "clusters": len(shortcut["clustering"]),
+        "exhaustive_engine_calls": exhaustive["engine_calls"],
+        "short_circuit_engine_calls": shortcut["engine_calls"],
+        "short_circuited": shortcut["short_circuited"],
+        "exhaustive_pairs_per_record": round(
+            exhaustive["engine_calls"] / len(records), 3
+        ),
+        "short_circuit_pairs_per_record": round(
+            shortcut["engine_calls"] / len(records), 3
+        ),
+        "exhaustive_records_per_sec": exhaustive["records_per_sec"],
+        "short_circuit_records_per_sec": shortcut["records_per_sec"],
+    }
 
 
 def _render(payload: dict[str, object]) -> str:
@@ -144,7 +211,7 @@ def _render(payload: dict[str, object]) -> str:
             f"{result['engine_call_saving']:.1%}",
         ])
     token = payload["blockers"]["token"]
-    return format_table(
+    batch = format_table(
         ["blocker", "path", "candidates", "engine calls", "records/sec",
          "calls saved"],
         rows,
@@ -153,6 +220,24 @@ def _render(payload: dict[str, object]) -> str:
             f"short-circuiting preserves each blocker's clustering)"
         ),
     )
+    store = payload["store"]
+    streamed = format_table(
+        ["path", "pairs asked", "pairs/record", "records/sec"],
+        [
+            ["every pair", f"{store['exhaustive_engine_calls']:,}",
+             f"{store['exhaustive_pairs_per_record']:.3f}",
+             f"{store['exhaustive_records_per_sec']:,.0f}"],
+            ["representative-first",
+             f"{store['short_circuit_engine_calls']:,}",
+             f"{store['short_circuit_pairs_per_record']:.3f}",
+             f"{store['short_circuit_records_per_sec']:,.0f}"],
+        ],
+        title=(
+            f"ResolutionStore stream (minhash index, {store['records']} "
+            f"records; same {store['clusters']} clusters both ways)"
+        ),
+    )
+    return batch + "\n\n" + streamed
 
 
 def test_resolve_short_circuit(benchmark):

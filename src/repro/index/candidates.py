@@ -32,9 +32,10 @@ helper, so a batch leaves exactly the state a loop of ``add`` would.
 
 The store queries a record's candidates right after adding it, so the
 index keeps the last description it hashed beside its signature and
-reuses it when the same description comes back.  The slot holds one
-signature, never a memo that grows; a signature is a pure function of
-the description, so every caller gets the answer a fresh hash would.
+band keys and reuses both when the same description comes back: a live
+ingest signs and mixes each record once.  The slot holds one entry,
+never a memo that grows; signature and keys are pure functions of the
+description, so every caller gets the answer a fresh hash would.
 
 Postings are one plain ``dict`` from band key to the ids in that
 bucket, in insertion order.  The index is not locked: the store guards
@@ -43,7 +44,7 @@ it, like :class:`~repro.resolve.incremental.TokenCandidateIndex`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -95,30 +96,49 @@ class MinHashCandidateIndex(CandidateIndex):
         self._count = 0
         #: records indexed with an empty token set (no blocking key).
         self.unindexable = 0
-        #: (description, signature) of the last description hashed.
-        self._last: tuple[str, np.ndarray | None] | None = None
+        #: ids of those records added since construction or the last
+        #: restore (snapshots keep only their count).
+        self._unsigned: set[str] = set()
+        #: (description, signature, band keys) of the last description
+        #: hashed; keys are empty for a token-less description.
+        self._last: tuple[str, np.ndarray | None, list[int]] | None = None
 
     def __len__(self) -> int:
         return self._count + self.unindexable
 
-    def _signature(self, description: str) -> np.ndarray | None:
-        """Signature of *description*, reusing the last one hashed."""
+    def _hashed(self, description: str) -> tuple[np.ndarray | None, list[int]]:
+        """Signature and band keys of *description*, reusing the last."""
         last = self._last
         if last is not None and last[0] == description:
-            return last[1]
+            return last[1], last[2]
         signature = self.hasher.signature(blocking_tokens(description))
-        self._last = (description, signature)
-        return signature
+        keys = (
+            [] if signature is None
+            else self.banding.band_key_rows(signature[np.newaxis, :])[0]
+        )
+        self._last = (description, signature, keys)
+        return signature, keys
+
+    def _check_fresh(
+        self, record_id: str, batch: Collection[str] = ()
+    ) -> None:
+        """Reject an id already indexed, signed or not, or in *batch*."""
+        if (
+            record_id in self._row
+            or record_id in self._unsigned
+            or record_id in batch
+        ):
+            raise ValueError(f"record {record_id!r} already indexed")
 
     def add(self, record_id: str, description: str) -> None:
         """Index one record; token-less records get no blocking key."""
-        if record_id in self._row:
-            raise ValueError(f"record {record_id!r} already indexed")
-        signature = self._signature(description)
+        self._check_fresh(record_id)
+        signature, keys = self._hashed(description)
         if signature is None:
+            self._unsigned.add(record_id)
             self.unindexable += 1
             return
-        self._append([record_id], signature[np.newaxis, :])
+        self._append([record_id], signature[np.newaxis, :], [keys])
 
     def add_many(self, items: Iterable[tuple[str, str]]) -> None:
         """Index ``(record_id, description)`` pairs in one bulk pass.
@@ -130,17 +150,27 @@ class MinHashCandidateIndex(CandidateIndex):
         items = list(items)
         fresh: set[str] = set()
         for record_id, _ in items:
-            if record_id in self._row or record_id in fresh:
-                raise ValueError(f"record {record_id!r} already indexed")
+            self._check_fresh(record_id, fresh)
             fresh.add(record_id)
         matrix, signed = self.hasher.signatures(
             blocking_tokens(description) for _, description in items
         )
+        signed_ids = [items[position][0] for position in signed]
+        self._unsigned.update(fresh.difference(signed_ids))
         self.unindexable += len(items) - len(signed)
-        self._append([items[position][0] for position in signed], matrix)
+        self._append(signed_ids, matrix)
 
-    def _append(self, ids: Sequence[str], signatures: np.ndarray) -> None:
-        """Store *signatures* as the next rows and post their band keys."""
+    def _append(
+        self,
+        ids: Sequence[str],
+        signatures: np.ndarray,
+        key_rows: Sequence[Sequence[int]] | None = None,
+    ) -> None:
+        """Store *signatures* as the next rows and post their band keys.
+
+        *key_rows* are the rows' band keys when the caller already has
+        them; otherwise they are mixed here.
+        """
         count = self._count
         needed = count + len(ids)
         if needed > len(self._matrix):
@@ -153,9 +183,9 @@ class MinHashCandidateIndex(CandidateIndex):
         self._matrix[count:needed] = signatures
         self._row.update(zip(ids, range(count, needed)))
         self._count = needed
-        add_postings(
-            self._postings, ids, self.banding.band_key_rows(signatures)
-        )
+        if key_rows is None:
+            key_rows = self.banding.band_key_rows(signatures)
+        add_postings(self._postings, ids, key_rows)
 
     def _floor_similarities(
         self, signature: np.ndarray, found: list[str]
@@ -175,10 +205,9 @@ class MinHashCandidateIndex(CandidateIndex):
         self, description: str, exclude: str | None = None
     ) -> tuple[str, ...]:
         """Sorted ids sharing a band bucket (and the similarity floor)."""
-        signature = self._signature(description)
+        signature, keys = self._hashed(description)
         if signature is None:
             return ()
-        keys = self.banding.band_keys(signature)
         found = [
             record_id
             for record_id in colliding_ids(self._postings, keys)
@@ -203,10 +232,7 @@ class MinHashCandidateIndex(CandidateIndex):
         record onto the shards owning its band keys covers every pair
         this index would surface.  Token-less records have no keys.
         """
-        signature = self._signature(description)
-        if signature is None:
-            return ()
-        return tuple(sorted({int(k) for k in self.banding.band_keys(signature)}))
+        return tuple(sorted(set(self._hashed(description)[1])))
 
     def snapshot_state(self) -> dict:
         """JSON-ready live state (see :mod:`repro.resolve.snapshot`).
@@ -238,6 +264,7 @@ class MinHashCandidateIndex(CandidateIndex):
         self._count = 0
         self._postings = {}
         self.unindexable = int(state.get("unindexable", 0))
+        self._unsigned = set()
         self._append(
             ids,
             np.asarray(signatures, dtype=np.uint64).reshape(

@@ -16,23 +16,47 @@ ingestion the set of candidate edges is the same for every insertion
 order; the engine's decision for a pair is a
 deterministic function of the pair; and connected components are a
 function of the positive-edge *set*.  Cluster-aware short-circuiting
-preserves this: a pair is only skipped when its endpoints are already
-connected, and for transitive closure such a decision cannot change the
+preserves this: a pair is only skipped when its endpoints are connected
+(or will be, once the record's own matches join the union-find), and
+for transitive closure such a decision cannot change the
 partition (a positive union would be a no-op, a negative is ignored) —
 so every insertion order, with or without short-circuiting, yields the
 same clustering as one batch run.  Correlation mode aggregates *all*
 decisions as evidence, so there short-circuiting is disabled and the
 clustering is recomputed from the full (sorted) decision log.
 
+**Representative-first scoring.**  With short-circuiting on, a record's
+pending candidates are grouped by their current cluster and asked in
+two rounds (:meth:`ResolutionStore._next_batch`).  Round A asks one
+representative, the lowest-id pending member, of every cluster the
+record has no answer from; round B, only once round A is empty, asks
+every pending member of the clusters that answered no.  A cluster that
+answered yes is now the record's own, so its other members are skipped.
+The rounds change which pairs are asked, never the partition: the
+record joins cluster C exactly when some pair with C is a match (a
+cluster that answered no has all its members asked), and a pair is
+skipped only when its endpoints end up connected anyway: the partner
+sits in the record's own cluster or in one that answered yes.  So the
+invariance argument above holds unchanged.
+
 **Durability.**  ``journal=`` write-ahead-logs every record, decision,
 commit, and must-link to an fsync'd JSONL file
 (:mod:`repro.faults.journal`); :meth:`recover` rebuilds a killed store
-and finishes its in-flight work byte-identically.  :meth:`snapshot`
-checkpoints the live state (records, decisions, constraints, candidate
-index) at the current journal sequence, and :meth:`compact` additionally
-swaps the journal for a fresh suffix-only file — after which recovery
-is O(live state + suffix), never O(full history).  See
-:mod:`repro.resolve.snapshot` and DESIGN.md §18.
+and finishes its in-flight work byte-identically.  The round rule reads
+only journaled state: the candidate set, the union-find, and the
+record's own answers.  A record's matches join the union-find only
+after its last answer, live and on recovery alike, so the clusters it
+groups by do not move while it is decided, and an answer changes only
+its own cluster's round.  A run killed anywhere inside the rounds
+therefore resumes with the pairs an uninterrupted run would have asked
+next, in the same order, and its ``commit`` entry counts the answers
+journaled before the kill.
+
+:meth:`snapshot` checkpoints the live state (records, decisions,
+constraints, candidate index) at the current journal sequence, and
+:meth:`compact` additionally swaps the journal for a fresh suffix-only
+file — after which recovery is O(live state + suffix), never O(full
+history).  See :mod:`repro.resolve.snapshot` and DESIGN.md §18.
 
 **Thread safety.**  One lock guards the record table, candidate index,
 union-find, and decision log (``@guarded_by`` declarations below,
@@ -402,7 +426,7 @@ class ResolutionStore:
         )
 
     def _decide_candidates(
-        self, record: Record
+        self, record: Record, carried: Sequence[tuple[str, bool]] = ()
     ) -> tuple[int, int, int, list]:
         """Block *record* and decide its pending pairs until none remain.
 
@@ -412,51 +436,43 @@ class ResolutionStore:
         pairs whose decisions are already journaled sit in ``_compared``
         and are never re-asked, so finishing an uncommitted record after
         a crash decides exactly the pairs the interrupted run had not yet
-        acknowledged.
+        acknowledged.  *carried* lists the ``(partner, match)`` answers
+        the interrupted run journaled for this record; they count as
+        this record's own, so the rounds and the commit entry match an
+        uninterrupted run's.
 
-        The index is queried once per record unless a scan stopped at
-        ``chunk_size`` or another record was ingested after it: only
-        then can a fresh scan surface a pair the last one did not.
+        Which pairs go to the engine next is :meth:`_next_batch`'s rule.
+        The record's matches join the union-find only after its last
+        answer, so the clusters it groups its candidates by stay put
+        while it is being decided.  The index is queried once per record
+        unless a batch was cut at ``chunk_size`` or another record was
+        ingested after the scan: only then can a fresh scan surface a
+        pair the last one did not.
         """
-        candidates = 0
-        calls = 0
+        record_id = record.record_id
+        #: partner id -> match, for every answer this record got so far.
+        verdicts: dict[str, bool] = dict(carried)
+        candidates = calls = len(verdicts)
         skipped = 0
         merges: list[tuple[str, str]] = []
+        others: tuple[str, ...] = ()
+        seen = -1
+        truncated = False
         while True:
             with self._lock:
                 #: records are never removed, so an unchanged count means
                 #: an unchanged candidate set for this record.
-                seen = len(self._records)
-                truncated = False
-                #: (other id, prompt-left desc, prompt-right desc) —
-                #: descriptions are ordered by the canonical (sorted) pair,
-                #: NOT by arrival: the model's answer is not symmetric in
-                #: its arguments, so a fixed orientation is what keeps the
-                #: decision (and thus the clustering) insertion-order-free.
-                todo: list[tuple[str, str, str]] = []
-                for other in self._index.candidates(
-                    record.description, exclude=record.record_id
-                ):
-                    pair = tuple(sorted((record.record_id, other)))
-                    if pair in self._compared:
-                        continue
-                    self._compared.add(pair)
-                    candidates += 1
-                    if self.short_circuit and self._uf.connected(
-                        record.record_id, other
-                    ):
-                        skipped += 1
-                        self.short_circuited += 1
-                        continue
-                    first, second = pair
-                    todo.append((
-                        other,
-                        self._records[first].description,
-                        self._records[second].description,
-                    ))
-                    if len(todo) >= self.chunk_size:
-                        truncated = True
-                        break
+                if truncated or len(self._records) != seen:
+                    seen = len(self._records)
+                    others = self._index.candidates(
+                        record.description, exclude=record_id
+                    )
+                todo, remaining, shorted = self._next_batch(
+                    record_id, others, verdicts
+                )
+                candidates += len(todo) + shorted
+                skipped += shorted
+                truncated = len(todo) >= self.chunk_size
             if not todo:
                 break
             results = self.engine.match_pairs(
@@ -465,7 +481,7 @@ class ResolutionStore:
             calls += len(results)
             decided: list[tuple[str, PairDecision]] = []
             for (other, _, _), result in zip(todo, results):
-                first, second = sorted((record.record_id, other))
+                first, second = sorted((record_id, other))
                 decided.append(
                     (
                         other,
@@ -489,13 +505,98 @@ class ResolutionStore:
                 self.engine_calls += len(results)
                 for other, decision in decided:
                     self._decisions.append(decision)
+                    verdicts[other] = decision.match
                     if decision.match:
                         merges.append(decision.key)
-                        if self.mode == "transitive":
-                            self._uf.union(record.record_id, other)
-                if not truncated and len(self._records) == seen:
+                if not (truncated or remaining) and len(self._records) == seen:
                     break
+        if self.mode == "transitive":
+            with self._lock:
+                for other, match in verdicts.items():
+                    if match:
+                        self._uf.union(record_id, other)
         return candidates, calls, skipped, merges
+
+    def _next_batch(
+        self,
+        record_id: str,
+        others: tuple[str, ...],
+        verdicts: dict[str, bool],
+    ) -> tuple[list[tuple[str, str, str]], int, int]:
+        """Claim the next pairs of *record_id* to ask the engine about.
+
+        *others* is the record's sorted candidate list and *verdicts* its
+        answers so far.  Returns ``(todo, remaining, short_circuited)``:
+        at most ``chunk_size`` ``(other, prompt-left, prompt-right)``
+        entries in id order, how many unclaimed pairs wait for a later
+        batch, and how many pairs this call skipped.  The prompt
+        descriptions follow the canonical (sorted) pair, not arrival: the
+        model's answer is not symmetric in its arguments, so a fixed
+        orientation is what keeps each decision, and so the clustering,
+        insertion-order-free.
+
+        Without short-circuiting every unclaimed pair is asked.  With it,
+        the pending partners are grouped by their current cluster:
+
+        * round A asks one representative, the lowest-id pending member,
+          of every cluster the record has no answer from yet;
+        * round B, once round A is empty, asks every pending member of
+          the clusters that answered no at least once;
+        * the pending members of a cluster that answered only yes, and
+          of the record's own cluster, are skipped.
+        """
+        def pair_of(other: str) -> tuple[str, str]:
+            if record_id < other:
+                return record_id, other
+            return other, record_id
+
+        with self._lock:
+            compared = self._compared
+            shorted = 0
+            if not self.short_circuit:
+                fresh = [o for o in others if pair_of(o) not in compared]
+                asked = fresh[: self.chunk_size]
+                remaining = len(fresh) - len(asked)
+            else:
+                find = self._uf.find
+                said_no = {find(o) for o, yes in verdicts.items() if not yes}
+                connected = {find(record_id)} | {
+                    find(o) for o, yes in verdicts.items() if yes
+                }
+                #: cluster id -> its lowest-id pending member (others is
+                #: sorted, so the first one seen).
+                round_a: dict[str, str] = {}
+                round_b: list[str] = []
+                waiting = 0
+                for other in others:
+                    pair = pair_of(other)
+                    if pair in compared:
+                        continue
+                    cluster = find(other)
+                    if cluster in said_no:
+                        round_b.append(other)
+                    elif cluster in connected:
+                        compared.add(pair)
+                        shorted += 1
+                        continue
+                    else:
+                        round_a.setdefault(cluster, other)
+                    waiting += 1
+                asked = (list(round_a.values()) if round_a else round_b)[
+                    : self.chunk_size
+                ]
+                remaining = waiting - len(asked)
+                self.short_circuited += shorted
+            todo = []
+            for other in asked:
+                pair = pair_of(other)
+                compared.add(pair)
+                todo.append((
+                    other,
+                    self._records[pair[0]].description,
+                    self._records[pair[1]].description,
+                ))
+        return todo, remaining, shorted
 
     def ingest_all(self, records: Sequence[Record]) -> list[IngestResult]:
         """Ingest records in order (a convenience over repeated ``ingest``)."""
@@ -727,8 +828,8 @@ class ResolutionStore:
                 pending_snapshot = store._restore_snapshot(snap_path, state)
             pending = store._replay(path, entries[skip:], pending_snapshot)
             store._seq_at_open = basis + len(entries)
-            for record in pending:
-                store._finish(record)
+            for record, carried in pending:
+                store._finish(record, carried)
             recovered = True
         finally:
             if not recovered:
@@ -824,12 +925,16 @@ class ResolutionStore:
         path: Path,
         entries: list[dict],
         pending: Sequence[Record] = (),
-    ) -> list[Record]:
+    ) -> list[tuple[Record, list[tuple[str, bool]]]]:
         """Apply journal *entries* on top of any restored snapshot state.
 
         *pending* carries snapshot-era uncommitted records; the combined
         (insertion-ordered) list of records still lacking a ``commit``
-        entry is returned for :meth:`_finish`.
+        entry is returned for :meth:`_finish`, each with the
+        ``(partner, match)`` answers journaled on its behalf.  A decision
+        belongs to its later-journaled endpoint, the record whose scan
+        found it (in a single-writer run, the one whose entries it sits
+        between).
         """
         from repro.faults.journal import JournalError
 
@@ -885,29 +990,47 @@ class ResolutionStore:
                         self._uf.union(record.record_id, partner)
             for a, b in must_pairs:
                 self._apply_must_link(a, b)
+            unfinished = [
+                r for r in (*pending, *records) if r.record_id not in committed
+            ]
+            arrival = {record.record_id: i for i, record in enumerate(records)}
+            carried: dict[str, list[tuple[str, bool]]] = {
+                r.record_id: [] for r in unfinished
+            }
             for decision in decisions:
                 self._decisions.append(decision)
                 self._compared.add(decision.key)
-                if self.mode == "transitive" and decision.match:
+                owner = max(
+                    decision.key, key=lambda rid: arrival.get(rid, -1)
+                )
+                if owner in carried:
+                    # An unfinished record's matches join the union-find
+                    # when _finish completes it, as in a live ingest.
+                    left, right = decision.key
+                    partner = right if owner == left else left
+                    carried[owner].append((partner, decision.match))
+                elif self.mode == "transitive" and decision.match:
                     self._uf.union(decision.left, decision.right)
             self.engine_calls += len(decisions)
             self.short_circuited += skipped
             self._committed |= committed
-        return [
-            r for r in (*pending, *records) if r.record_id not in committed
-        ]
+        return [(r, carried[r.record_id]) for r in unfinished]
 
-    def _finish(self, record: Record) -> tuple[int, int, int, list]:
+    def _finish(
+        self, record: Record, carried: Sequence[tuple[str, bool]] = ()
+    ) -> tuple[int, int, int, list]:
         """Decide one indexed record's pairs, then journal its commit.
 
         Returns :meth:`_decide_candidates`'s counts.  Used by
         :meth:`ingest` and to complete journaled-but-uncommitted records
-        after recovery; there the per-record counters restart from the
-        resume point, and pairs the crashed run short-circuited (never
-        journaled) are re-examined and re-skipped, so the store-level
-        totals still match an uninterrupted run's.
+        after recovery; there the record resumes from its *carried*
+        journaled answers, and pairs the crashed run short-circuited
+        (never journaled) are re-examined and re-skipped, so the commit
+        entry and the store-level totals match an uninterrupted run's.
         """
-        candidates, calls, skipped, merges = self._decide_candidates(record)
+        candidates, calls, skipped, merges = self._decide_candidates(
+            record, carried
+        )
         if self._journal is not None:
             self._journal.append(
                 {

@@ -25,6 +25,19 @@ class TestAdd:
         with pytest.raises(ValueError, match="already indexed"):
             index.add("a", "acme widget")
 
+    @pytest.mark.parametrize("first", ["!!!", "acme widget"])
+    @pytest.mark.parametrize("second", ["...", "acme widget"])
+    def test_duplicate_id_rejected_with_or_without_tokens(self, first, second):
+        index = _index()
+        index.add("a", first)
+        before = index.snapshot_state()
+        with pytest.raises(ValueError, match="already indexed"):
+            index.add("a", second)
+        with pytest.raises(ValueError, match="already indexed"):
+            index.add_many([("a", second)])
+        assert len(index) == 1
+        assert index.snapshot_state() == before
+
     def test_token_less_records_are_unindexable(self):
         index = _index()
         index.add("empty", "!!! ...")

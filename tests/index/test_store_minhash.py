@@ -144,3 +144,23 @@ class TestParityWithExhaustiveResolution:
         from repro.resolve import TokenCandidateIndex
 
         assert isinstance(store._index, TokenCandidateIndex)
+
+
+class TestBandKeysPerIngest:
+    def test_stream_ingest_mixes_one_band_key_row_per_record(
+        self, monkeypatch
+    ):
+        """``add`` and the store's query right after share one key row."""
+        from repro.index.lsh import LSHBanding
+
+        rows = []
+        mix = LSHBanding.band_key_rows
+
+        def counting(self, signatures):
+            rows.append(len(signatures))
+            return mix(self, signatures)
+
+        monkeypatch.setattr(LSHBanding, "band_key_rows", counting)
+        records = _records(100)
+        _store(short_circuit=True).ingest_all(records)
+        assert sum(rows) / len(records) == 1.0

@@ -26,7 +26,7 @@ RECORDS = synthetic_records(40, seed=3)
 MORE = synthetic_records(50, seed=3)[40:]
 MUST_LINK = [("r001", "r038")]
 #: snapshot bytes of the uninterrupted 40-record MinHash store.
-MINHASH_STATE = "4bcbf41c584a780af6584b16e8d2210b3289070e3b5355cd2d6f1638e62abb46"
+MINHASH_STATE = "dd92c696060917387dbf2fdcdb88e0ffba7684a626c86afeb0f6bb996584cb59"
 
 
 def make_engine():
@@ -65,13 +65,13 @@ def store_digests(tmp_path, index):
 class TestDurabilityGolden:
     def test_token_index_store(self, tmp_path):
         assert store_digests(tmp_path, TokenCandidateIndex()) == {
-            "journal": "c91efc7dadbb7d7835a6b728b566eedcc0d73d77cfc49559d8203feaae27030e",
-            "snapshot": "7561c062fe3fbf71e563abde30bc8bca086679c07910d4f68786ea73d4f2f5ed",
+            "journal": "5ac52bc63550fddd17e2c386710460f8ce7b5d1239ce61c4a203a5c8aeab99a9",
+            "snapshot": "afbd3645ca3dbbf239af82076560e115371bde819199ffc7a3d1157aebfec893",
         }
 
     def test_minhash_index_store(self, tmp_path):
         assert store_digests(tmp_path, MinHashCandidateIndex()) == {
-            "journal": "3994755b988d8b41b3c07d9162d46f6b0e016421064ca87fded7964f2e27f43c",
+            "journal": "a87117b4821197595d8318080f8fc2aa9e815e191f5ef8a0b06f8842fcc36b0a",
             "snapshot": "774a031ce9d515b633ac7644bb68aa30283066c56f2d8e012eafe8c4f07cf7a0",
         }
 
@@ -115,10 +115,10 @@ class TestDurabilityGolden:
             path.name: sha256(path) for path in sorted(tmp_path.iterdir())
         }
         assert digests == {
-            "shard-000.journal": "b76824fe31858145e66023563288ac22187679628e6d5e5cc0bb5641518e8ef0",
-            "shard-000.journal.snapshot": "a3c2deede011c6ff3d301928adfd16827a88589bec2da3284e768945e62398eb",
-            "shard-001.journal": "3ba8fa29b3e36eff24ee9ff8f58297390d4df86ca802f59ec6786590e0367314",
-            "shard-001.journal.snapshot": "f6e2cd5abd4d624be4ae0ea46f7523ea2d018008447102058bcfa0a34e1015e9",
-            "shard-002.journal": "11f166df0f06f890f44d4a2efc53cc0d5bdbcbd7e8ced1507d5af7f9cfcea06a",
-            "shard-002.journal.snapshot": "c5b94fd08b0b45cb84ee80b2cf1df6be7c0bffdf726df3545cb9f782618db862",
+            "shard-000.journal": "937174964de0022eee750c1975da221e1201d3a42fa380ece7a3666c99eba517",
+            "shard-000.journal.snapshot": "a69db680a15eb9e2c2aef8934e90bbd03b124af2d47dd7a2912f523e4dd4275a",
+            "shard-001.journal": "167c76e92f3629fdb4e8397d73356284c4981739e9c252f65931ad714c0e0a2e",
+            "shard-001.journal.snapshot": "d8f9eb16f3820ad8c556180407c2f8a4bf4f5864b2506c48f0e8cf2b93cdcce2",
+            "shard-002.journal": "be4befd604edd36f1c3ea017afa3d16fb08cbb32d972cee6068ecde169de53c2",
+            "shard-002.journal.snapshot": "a8683cefb447fa87065776dfc5f2adae0b682dd25b476a415af0b3f6d6400f13",
         }

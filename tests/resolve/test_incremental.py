@@ -172,6 +172,16 @@ class TestIndexQueries:
         assert index.queries == {r.description: 1 for r in records}
         assert store.engine_calls == 16 * 15 // 2
 
+    def test_one_query_per_ingest_with_short_circuiting(self):
+        """Both rounds of representative-first scoring share one scan."""
+        index = _CountingIndex()
+        store = _store(index=index, chunk_size=32, short_circuit=True)
+        records = _records(16)
+        store.ingest_all(records)
+        assert store.short_circuited > 0
+        assert index.queries == {r.description: 1 for r in records}
+        assert store.engine_calls + store.short_circuited == 16 * 15 // 2
+
     def test_a_scan_cut_at_chunk_size_is_resumed(self):
         index = _CountingIndex()
         store = _store(index=index, chunk_size=4, short_circuit=False)
@@ -241,6 +251,35 @@ class TestIndexQueries:
         keys = [d.key for d in store.decisions()]
         assert len(keys) == len(set(keys)) == 40 * 39 // 2
         assert store.decisions() == serial.decisions()
+        assert store.clustering() == serial.clustering()
+
+    def test_many_writers_with_short_circuiting_keep_the_clustering(self):
+        """The same stress with representative-first scoring on.
+
+        A writer's matches reach the union-find only after its last
+        answer, so concurrent writers see fewer connections and may ask
+        more pairs; they must still claim every pair exactly once and
+        land on the serial clustering.
+        """
+        records = _records(40)
+        serial = _store(short_circuit=False)
+        serial.ingest_all(records)
+        store = _store(short_circuit=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(store.ingest, r) for r in records]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        keys = [d.key for d in store.decisions()]
+        assert len(keys) == len(set(keys))
+        assert (
+            store.engine_calls + store.short_circuited
+            == sum(r.candidates for r in results)
+            == 40 * 39 // 2
+        )
         assert store.clustering() == serial.clustering()
 
 

@@ -23,12 +23,12 @@ GOLDEN = {
     "chaos-sweep": (
         ["chaos", "--fault-rate", "0.3", "--seed", "0", "--seed", "1",
          "--seed", "2", "--kill-every", "3", "--format", "json"],
-        "260cb8f22e0219cc0bc01cfb80aca3564d62d89e44f33efee52968e76449316f",
+        "97d4986e5bdf6dd3b0b4462f78702ab9955a43e8afdc4c010aecb6ce6f97b9b6",
     ),
     "chaos-sharded": (
         ["chaos", "--shards", "4", "--kill-every", "3", "--seed", "0",
          "--seed", "1", "--seed", "2", "--format", "json"],
-        "3e0f362424029be3d7d7b2049e836f6c2830384ecb2d292c44f74df62b4e05e2",
+        "eee6e162a5dd304651e05ae94c2bc64ccb6b167e2f6bae779e0755d7c4492c60",
     ),
     "serve-chaos": (
         ["serve", "--chaos", "--fault-rate", "0.3", "--chaos-seed", "0",
