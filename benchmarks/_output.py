@@ -22,3 +22,16 @@ def emit_json(name: str, payload: dict) -> None:
     (RESULTS_DIR / f"{name}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+
+
+def publish(name: str, payload: dict, text: str, *, smoke: bool) -> None:
+    """Save a full run's result under results/; only print a smoke run's.
+
+    The checked-in results come from full-size runs only: a smoke run is
+    a CI gate, not a measurement.
+    """
+    if smoke:
+        print(text)
+        return
+    emit_json(name, payload)
+    emit(name, text)

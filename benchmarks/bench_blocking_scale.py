@@ -35,7 +35,7 @@ from repro.eval.reports import format_table
 from repro.index import MinHashCandidateIndex
 from repro.resolve.incremental import TokenCandidateIndex
 
-from benchmarks._output import emit, emit_json
+from benchmarks._output import publish
 
 FULL_RECORDS = 100_000
 SMOKE_RECORDS = 5_000
@@ -261,13 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     failures = check_smoke(payload)
     for failure in failures:
         print(f"bench_blocking_scale: {failure}")
-    if not args.smoke:
-        # The checked-in results come from the full corpus only; smoke
-        # runs are a CI gate, not a measurement.
-        emit_json("bench_blocking_scale", payload)
-        emit("bench_blocking_scale", _render(payload))
-    else:
-        print(_render(payload))
+    publish(
+        "bench_blocking_scale", payload, _render(payload), smoke=args.smoke
+    )
     return 1 if failures else 0
 
 

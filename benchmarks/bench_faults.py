@@ -30,7 +30,7 @@ from repro.eval.metrics import f1_score
 from repro.eval.reports import format_table
 from repro.faults import FaultPlan, build_chaos_engine
 
-from benchmarks._output import emit, emit_json
+from benchmarks._output import emit, emit_json, publish
 
 MODEL = "llama-3.1-8b"
 RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -137,8 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     if sum(payload["rates"][-1]["injected"].values()) == 0:
         print("bench_faults: fault injection never engaged")
         return 1
-    emit_json("bench_faults", payload)
-    emit("bench_faults", _render(payload))
+    publish("bench_faults", payload, _render(payload), smoke=args.smoke)
     return 0
 
 

@@ -29,7 +29,7 @@ from repro.lint.cache import AnalysisCache
 from repro.lint.deep import run_deep
 from repro.lint.findings import format_json
 
-from benchmarks._output import emit, emit_json
+from benchmarks._output import publish
 from repro.eval.reports import format_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -143,8 +143,7 @@ def main() -> None:
     result = run_shallow(SMOKE_REPEATS if args.smoke else FULL_REPEATS)
     if not args.no_deep:
         result["deep"] = run_deep_cold_warm()
-    emit("bench_lint", render(result))
-    emit_json("bench_lint", result)
+    publish("bench_lint", result, render(result), smoke=args.smoke)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from repro.resolve import (
     split_records,
 )
 
-from benchmarks._output import emit, emit_json
+from benchmarks._output import emit, emit_json, publish
 
 MODEL = "llama-3.1-8b"
 FULL_PAIRS = 400
@@ -263,8 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     if payload["blockers"]["token"]["short_circuited"] == 0:
         print("bench_resolve: short-circuiting never engaged (token)")
         return 1
-    emit_json("bench_resolve", payload)
-    emit("bench_resolve", _render(payload))
+    publish("bench_resolve", payload, _render(payload), smoke=args.smoke)
     return 0
 
 

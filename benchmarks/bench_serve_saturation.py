@@ -39,7 +39,7 @@ from repro.serve import (
     summarize,
 )
 
-from benchmarks._output import emit, emit_json
+from benchmarks._output import emit, emit_json, publish
 
 MODEL = "llama-3.1-8b"
 OFFERED_LOADS = (500.0, 2000.0, 8000.0)
@@ -192,8 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     payload = run_saturation(SMOKE_REQUESTS if args.smoke else FULL_REQUESTS)
-    emit_json("bench_serve_saturation", payload)
-    emit("bench_serve_saturation", _render(payload))
+    publish(
+        "bench_serve_saturation", payload, _render(payload), smoke=args.smoke
+    )
     return 0
 
 

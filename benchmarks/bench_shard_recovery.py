@@ -51,7 +51,7 @@ from repro.resolve.sharded import (
     shard_journal_path,
 )
 
-from benchmarks._output import emit, emit_json
+from benchmarks._output import emit, emit_json, publish
 
 SHARDS = 4
 SEED = 0
@@ -258,8 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     payload = run_recovery_sweep(SMOKE_SCALES if args.smoke else FULL_SCALES)
     gate = payload["rows"][0]["speedup_snapshot"]
-    emit_json("bench_shard_recovery", payload)
-    emit("bench_shard_recovery", _render(payload))
+    publish(
+        "bench_shard_recovery", payload, _render(payload), smoke=args.smoke
+    )
     if gate < GATE_RATIO:
         print(
             f"bench_shard_recovery: snapshot recovery only {gate:.2f}x "

@@ -5,7 +5,7 @@ A data-integration pipeline in the style the paper's introduction
 motivates: offers from two web shops must be matched before being merged
 into one catalog.  The pipeline uses a fine-tuned model with structured
 explanations (the paper's best representation for small models), served
-through the batched local runner, and reports precision/recall so an
+in-process through the local backend, and reports precision/recall so an
 operator can pick a trust level.
 
 Usage::
@@ -15,10 +15,10 @@ Usage::
 
 from repro.core.pipeline import TailorMatch
 from repro.datasets.registry import load_dataset
+from repro.engine.backends import LocalBackend
 from repro.eval.metrics import f1_score
 from repro.llm.parsing import parse_yes_no
 from repro.prompts.templates import DEFAULT_PROMPT
-from repro.serving.local_runner import LocalRunner
 
 import numpy as np
 
@@ -34,12 +34,11 @@ def main() -> None:
     workload = load_dataset("walmart-amazon").test.subset(range(400), "intake")
     print(f"matching {len(workload)} candidate offer pairs …")
 
-    runner = LocalRunner(matcher, batch_size=64)
     prompts = [
         DEFAULT_PROMPT.render(p.left.description, p.right.description)
         for p in workload
     ]
-    answers = runner.generate(prompts)
+    answers = LocalBackend(matcher).generate(prompts)
     predictions = np.array([bool(parse_yes_no(a)) for a in answers])
 
     labels = np.array(workload.labels())

@@ -1,8 +1,8 @@
 """Online matching engine: batching, caching, retry-hardened serving.
 
-The experiment code drives models through two one-shot paths — the local
-batched runner and the asynchronous batch API.  This package adds the
-online layer a production matcher needs on top of them: a
+The experiment code drives models through two one-shot paths — local
+in-process inference and the asynchronous batch API.  This package adds
+the online layer a production matcher needs on top of them: a
 :class:`MatchingEngine` that deduplicates and normalizes incoming match
 requests, serves repeats from a bounded LRU+TTL :class:`ResultCache`,
 micro-batches cache misses through a :class:`Scheduler` (flush on batch
@@ -18,7 +18,6 @@ from repro.engine.backends import (
     BackendError,
     BatchAPIBackend,
     LocalBackend,
-    ModelBackend,
     make_backend,
 )
 from repro.engine.cache import ResultCache
@@ -45,7 +44,6 @@ __all__ = [
     "LocalBackend",
     "MatchResult",
     "MatchingEngine",
-    "ModelBackend",
     "ResultCache",
     "RetryPolicy",
     "Scheduler",

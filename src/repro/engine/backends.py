@@ -23,14 +23,12 @@ from repro.engine.retry import BackendError
 from repro.llm.features import FeatureMemo
 from repro.llm.model import ChatModel, build_model
 from repro.serving.batch_api import BatchAPI, BatchRequest
-from repro.serving.local_runner import LocalRunner
 
 __all__ = [
     "Backend",
     "BackendError",
     "BatchAPIBackend",
     "LocalBackend",
-    "ModelBackend",
     "make_backend",
 ]
 
@@ -47,19 +45,26 @@ class Backend(Protocol):
 
 
 @dataclass
-class ModelBackend:
-    """Thinnest backend: drive a :class:`ChatModel` directly in-process."""
+class LocalBackend:
+    """The local batched Transformers path (open-source models).
+
+    Drives a :class:`ChatModel` in-process: each micro-batch is one
+    :meth:`~repro.llm.model.ChatModel.complete_batch` call.  The backend
+    owns the memo of its model calls, so descriptions are featurized
+    once per backend and the views are dropped with it.  A pair's logit
+    has the same bits in any micro-batch, so the engine's scheduler may
+    cut the batches any way it likes.
+    """
 
     model: ChatModel
-    name: str = ""
+    name: str = field(init=False)
     #: per-description feature views of this backend's model calls.
     memo: FeatureMemo = field(
         init=False, default_factory=FeatureMemo, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"model:{self.model.name}"
+        self.name = f"local:{self.model.name}"
 
     def generate(self, prompts: list[str]) -> list[str]:
         try:
@@ -69,28 +74,6 @@ class ModelBackend:
         # repro-lint: disable=broad-except — transport boundary: any model
         # failure (e.g. ValueError on a malformed prompt) must surface as
         # BackendError for the retry policy to see, like the other backends.
-        except Exception as exc:
-            raise BackendError(f"{self.name}: {exc}") from exc
-
-
-@dataclass
-class LocalBackend:
-    """The local batched Transformers path (open-source models)."""
-
-    runner: LocalRunner
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"local:{self.runner.model.name}"
-
-    def generate(self, prompts: list[str]) -> list[str]:
-        try:
-            return self.runner.generate(prompts)
-        except BackendError:
-            raise
-        # repro-lint: disable=broad-except — transport boundary: any runner
-        # failure must surface as BackendError for the retry policy to see.
         except Exception as exc:
             raise BackendError(f"{self.name}: {exc}") from exc
 
@@ -147,7 +130,7 @@ class BatchAPIBackend:
         return out
 
 
-def make_backend(model: ChatModel | str, batch_size: int = 32) -> Backend:
+def make_backend(model: ChatModel | str) -> Backend:
     """Build the paper-faithful backend for a model (or persona name).
 
     Open-source personas go through :class:`LocalBackend` (the Transformers
@@ -157,5 +140,5 @@ def make_backend(model: ChatModel | str, batch_size: int = 32) -> Backend:
     if isinstance(model, str):
         model = build_model(model)
     if model.persona.kind == "open-source":
-        return LocalBackend(runner=LocalRunner(model=model, batch_size=batch_size))
+        return LocalBackend(model)
     return BatchAPIBackend.for_model(model)

@@ -159,12 +159,15 @@ class MatchingEngine:
     ) -> "MatchingEngine":
         """Engine over the paper-faithful backend for *model*.
 
-        Open-source personas run through the local batched runner; hosted
-        personas through the batch API (see :func:`make_backend`).
+        Open-source personas run in-process through
+        :class:`~repro.engine.backends.LocalBackend`; hosted personas
+        through the batch API (see :func:`make_backend`).  *batch_size*
+        is the scheduler's micro-batch size, the only place batches are
+        cut.
         """
         kwargs.setdefault("scheduler", Scheduler(max_batch_size=batch_size))
         return cls(
-            backend=make_backend(model, batch_size=batch_size),
+            backend=make_backend(model),
             template=template,
             **kwargs,
         )

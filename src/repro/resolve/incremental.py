@@ -445,9 +445,11 @@ class ResolutionStore:
         The record's matches join the union-find only after its last
         answer, so the clusters it groups its candidates by stay put
         while it is being decided.  The index is queried once per record
-        unless a batch was cut at ``chunk_size`` or another record was
-        ingested after the scan: only then can a fresh scan surface a
-        pair the last one did not.
+        unless another record was ingested after the scan: candidacy is a
+        pairwise function of records that are never removed, so only a
+        new record can surface a pair the last scan did not.  Pairs a
+        batch cut at ``chunk_size`` left pending are taken from the same
+        scan.
         """
         record_id = record.record_id
         #: partner id -> match, for every answer this record got so far.
@@ -457,12 +459,11 @@ class ResolutionStore:
         merges: list[tuple[str, str]] = []
         others: tuple[str, ...] = ()
         seen = -1
-        truncated = False
         while True:
             with self._lock:
                 #: records are never removed, so an unchanged count means
                 #: an unchanged candidate set for this record.
-                if truncated or len(self._records) != seen:
+                if len(self._records) != seen:
                     seen = len(self._records)
                     others = self._index.candidates(
                         record.description, exclude=record_id
@@ -472,7 +473,6 @@ class ResolutionStore:
                 )
                 candidates += len(todo) + shorted
                 skipped += shorted
-                truncated = len(todo) >= self.chunk_size
             if not todo:
                 break
             results = self.engine.match_pairs(
@@ -508,7 +508,7 @@ class ResolutionStore:
                     verdicts[other] = decision.match
                     if decision.match:
                         merges.append(decision.key)
-                if not (truncated or remaining) and len(self._records) == seen:
+                if not remaining and len(self._records) == seen:
                     break
         if self.mode == "transitive":
             with self._lock:

@@ -14,7 +14,6 @@ from repro.engine import (
     BatchAPIBackend,
     LocalBackend,
     MatchingEngine,
-    ModelBackend,
     make_backend,
 )
 from repro.engine.cache import ResultCache
@@ -228,7 +227,7 @@ class TestBackends:
 
     def test_batch_api_backend_answers_in_order(self, product_split):
         engine = MatchingEngine.for_model("gpt-4o-mini")
-        direct = MatchingEngine(backend=ModelBackend(build_model("gpt-4o-mini")))
+        direct = MatchingEngine(backend=LocalBackend(build_model("gpt-4o-mini")))
         pairs = product_split.pairs[:12]
         via_batch = [r.decision for r in engine.match_pairs(pairs)]
         via_model = [r.decision for r in direct.match_pairs(pairs)]

@@ -39,7 +39,7 @@ def test_engine_scoring_leaves_the_process_memos_unchanged():
     results = engine.match_pairs(pairs)
     assert [r.source for r in results] == ["backend"] * 200
     assert (len(features._CACHE), len(prior._obs_cache)) == before
-    memo = engine.backend.runner.memo
+    memo = engine.backend.memo
     assert len(memo) == len({d for pair in pairs for d in pair})
 
 
@@ -88,5 +88,5 @@ def test_two_threads_sharing_one_engine_answer_as_a_serial_run():
         assert {(r.left, r.right): (r.response, r.decision)
                 for r in results} == expected
         assert all(r.source in ("backend", "cache") for r in results)
-    assert len(engine.backend.runner.memo) == len(
+    assert len(engine.backend.memo) == len(
         {d for pair in pairs for d in pair})

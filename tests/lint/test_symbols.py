@@ -146,7 +146,6 @@ class TestProtocols:
         protocol = table.classes["repro.engine.backends.Backend"]
         impls = {c.name for c in table.protocol_implementations(protocol)}
         assert impls == {
-            "ModelBackend",
             "LocalBackend",
             "BatchAPIBackend",
             "FaultyBackend",

@@ -17,14 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import MatchingEngine
-from repro.engine.backends import LocalBackend, ModelBackend
+from repro.engine.backends import LocalBackend
 from repro.engine.retry import BackendError, RetryPolicy
 from repro.llm.decoding import is_hedged
 from repro.llm.features import FeatureMemo
 from repro.llm.model import build_model
 from repro.llm.parsing import parse_yes_no
 from repro.prompts.templates import PROMPTS, PromptTemplate
-from repro.serving.local_runner import LocalRunner
 from repro.training.trainer import TrainingExample
 from tests.conftest import make_product_split, make_scholar_split
 
@@ -171,10 +170,7 @@ class TestMalformedPromptInBatch:
         with pytest.raises(ValueError, match="Entity 1"):
             model.complete_batch(self._batch(), FeatureMemo())
 
-    @pytest.mark.parametrize("make", [
-        lambda m: LocalBackend(runner=LocalRunner(model=m, batch_size=2)),
-        lambda m: ModelBackend(model=m),
-    ])
+    @pytest.mark.parametrize("make", [lambda m: LocalBackend(m)])
     def test_backends_raise_backend_error(self, make):
         with pytest.raises(BackendError, match="Entity 1"):
             make(MODELS["llama-3.1-8b"]).generate(self._batch())
@@ -192,7 +188,7 @@ class TestMalformedPromptInBatch:
                 return self.inner.generate(prompts[:1] + ["just some text"]
                                            + prompts[2:])
 
-        inner = LocalBackend(runner=LocalRunner(model=MODELS["llama-3.1-8b"]))
+        inner = LocalBackend(MODELS["llama-3.1-8b"])
         engine = MatchingEngine(
             backend=Corrupting(inner), retry=RetryPolicy(max_attempts=2),
             sleep=lambda seconds: None,

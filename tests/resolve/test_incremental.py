@@ -187,11 +187,9 @@ class TestIndexQueries:
         store = _store(index=index, chunk_size=4, short_circuit=False)
         records = _records(16)
         store.ingest_all(records)
-        # Record i's i candidates take i // 4 full chunks, each followed
-        # by a fresh scan; the last scan finds the remainder (or nothing).
-        assert index.queries == {
-            r.description: i // 4 + 1 for i, r in enumerate(records)
-        }
+        # Record i's i candidates take ceil(i / 4) chunks, all drawn from
+        # one scan: no record arrives meanwhile, so a re-scan finds nothing.
+        assert index.queries == {r.description: 1 for r in records}
         keys = [d.key for d in store.decisions()]
         assert len(keys) == len(set(keys)) == 16 * 15 // 2
 

@@ -1,9 +1,15 @@
-"""Tests for the local inference runner."""
+"""Tests for the local inference path.
 
-import pytest
+Open-source models run in-process through
+:class:`~repro.engine.backends.LocalBackend`; the engine's scheduler is
+the only place a prompt list is cut into micro-batches.  These tests pin
+what the path promises: answers in input order, and completions that do
+not depend on how the batches are cut.
+"""
 
+from repro.engine import LocalBackend, MatchingEngine
+from repro.llm.model import build_model
 from repro.prompts.templates import COMPLEX_FORCE
-from repro.serving.local_runner import LocalRunner
 
 
 def _prompts(product_split, n=10):
@@ -13,47 +19,39 @@ def _prompts(product_split, n=10):
     ]
 
 
+def _responses(product_split, batch_size, n=10):
+    engine = MatchingEngine.for_model(
+        "llama-3.1-8b", template=COMPLEX_FORCE, batch_size=batch_size
+    )
+    return [r.response for r in engine.match_pairs(product_split.pairs[:n])]
+
+
 class TestLocalRunner:
     def test_order_preserved(self, product_split):
-        runner = LocalRunner.for_model("llama-3.1-8b", batch_size=3)
+        model = build_model("llama-3.1-8b")
         prompts = _prompts(product_split)
-        outputs = runner.generate(prompts)
+        outputs = LocalBackend(model).generate(prompts)
         assert len(outputs) == len(prompts)
+        assert outputs == [model.complete(p) for p in prompts]
 
     def test_batch_size_does_not_change_outputs(self, product_split):
-        prompts = _prompts(product_split)
-        small = LocalRunner.for_model("llama-3.1-8b", batch_size=1).generate(prompts)
-        large = LocalRunner.for_model("llama-3.1-8b", batch_size=64).generate(prompts)
+        small = _responses(product_split, batch_size=1)
+        large = _responses(product_split, batch_size=64)
         assert small == large
 
     def test_determinism_across_batch_sizes_1_7_32(self, product_split):
-        """The docstring's determinism guarantee, pinned batch by batch.
+        """Byte-identical completions at batch size 1, 7 or 32, and again.
 
-        Real inference stacks famously violate this (batch-dependent kernel
-        selection); the library contract is that chunking is invisible —
-        the same prompt list yields byte-identical completions whether it
-        is processed 1, 7, or 32 prompts at a time.
+        Real inference stacks famously violate this (batch-dependent
+        kernel selection); here how the scheduler cuts micro-batches is
+        invisible, and a repeat run has no hidden cross-call state.
         """
-        prompts = _prompts(product_split, n=40)
         outputs = {
-            size: LocalRunner.for_model("llama-3.1-8b",
-                                        batch_size=size).generate(prompts)
+            size: _responses(product_split, batch_size=size, n=40)
             for size in (1, 7, 32)
         }
         assert outputs[1] == outputs[7] == outputs[32]
-        # repeat runs are stable too (no hidden cross-call state)
-        again = LocalRunner.for_model("llama-3.1-8b", batch_size=7).generate(prompts)
-        assert again == outputs[7]
-
-    def test_hosted_model_rejected(self):
-        with pytest.raises(ValueError, match="hosted"):
-            LocalRunner.for_model("gpt-4o")
-
-    def test_invalid_batch_size(self, product_split):
-        runner = LocalRunner.for_model("llama-3.1-70b", batch_size=0)
-        with pytest.raises(ValueError):
-            runner.generate(_prompts(product_split, 2))
-
-    def test_empty_prompts(self):
-        runner = LocalRunner.for_model("llama-3.1-8b")
-        assert runner.generate([]) == []
+        assert _responses(product_split, batch_size=7, n=40) == outputs[7]
+        chat = build_model("llama-3.1-8b")
+        assert outputs[7] == [chat.complete(p)
+                              for p in _prompts(product_split, n=40)]
