@@ -193,6 +193,7 @@ class MatchingEngine:
         results: list[MatchResult | None] = [None] * len(descriptions)
         #: (input index, shared slot, left, right) awaiting a dispatch.
         claims: list[tuple[int, _Pending, str, str]] = []
+        hits = 0
 
         for i, (left, right) in enumerate(descriptions):
             prompt = self.template.render(left, right)
@@ -200,7 +201,7 @@ class MatchingEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 response, decision = cached
-                self.stats.add("requests", "cache_hits")
+                hits += 1
                 results[i] = MatchResult(left, right, response, decision, "cache")
                 continue
             self.stats.add("requests", "cache_misses")
@@ -221,6 +222,10 @@ class MatchingEngine:
             claims.append((i, pending, left, right))
             if batch is not None:
                 self._dispatch(batch)
+        if hits:
+            # One add for the call's hits: requests = hits + misses holds
+            # in every snapshot, since each add bumps requests with them.
+            self.stats.add("requests", "cache_hits", n=hits)
 
         with self._lock:
             batch = self.scheduler.drain()

@@ -3,8 +3,9 @@
 One :class:`EngineStats` registry accompanies a :class:`MatchingEngine`
 for its lifetime.  The engine bumps counters through
 :meth:`~repro.obs.Counters.add` (one lock hold per event, exact under N
-threads) and records one latency sample per backend dispatch, weighted
-by the requests it answered.  Each counter reads as an int attribute
+threads; a ``match_pairs`` call's cache hits are one event) and records
+one latency sample per backend dispatch, weighted by the requests it
+answered.  Each counter reads as an int attribute
 (``stats.requests``); flush reasons are lanes ``("flush", reason)`` of
 the ``batches`` counter.
 """

@@ -414,14 +414,14 @@ class ResolutionStore:
         finally:
             with self._lock:
                 self._inflight -= 1
-        cluster = self._cluster_of(record.record_id)
+        cluster_id, cluster_size = self._cluster_of(record.record_id)
         return IngestResult(
             record_id=record.record_id,
             candidates=candidates,
             engine_calls=calls,
             short_circuited=skipped,
-            cluster_id=cluster[0],
-            cluster_size=len(cluster),
+            cluster_id=cluster_id,
+            cluster_size=cluster_size,
             merges=tuple(merges),
         )
 
@@ -1047,17 +1047,18 @@ class ResolutionStore:
 
     # --------------------------------------------------------------- read-outs
 
-    def _cluster_of(self, record_id: str) -> tuple[str, ...]:
-        """Current cluster members of one record.
+    def _cluster_of(self, record_id: str) -> tuple[str, int]:
+        """Canonical id and size of one record's current cluster.
 
-        Transitive mode without cannot-links reads the live union-find;
-        otherwise the authoritative (constraint-respecting) clustering is
-        recomputed from the decision log.
+        Transitive mode without cannot-links reads the live union-find in
+        O(1); otherwise the authoritative (constraint-respecting)
+        clustering is recomputed from the decision log.
         """
         with self._lock:
             if self.mode == "transitive" and not self.cannot_link:
-                return self._uf.component_of(record_id)
-        return self.clustering().cluster_of(record_id)
+                return self._uf.find(record_id), self._uf.size_of(record_id)
+        cluster = self.clustering().cluster_of(record_id)
+        return cluster[0], len(cluster)
 
     def _present_constraints(
         self, pairs: tuple[tuple[str, str], ...]

@@ -126,6 +126,10 @@ class UnionFind:
         """Sorted members of *element*'s component, in O(its size)."""
         return tuple(sorted(self._members[self._find_root(element)]))
 
+    def size_of(self, element: str) -> int:
+        """Number of members in *element*'s component, in O(1)."""
+        return len(self._members[self._find_root(element)])
+
     def component_ids(self) -> dict[str, str]:
         """Every element → its canonical (min-member) component id."""
         return {element: self.find(element) for element in self._parent}

@@ -15,13 +15,17 @@ Request lifecycle::
             backend
           — otherwise the chunk goes through ``MatchingEngine.match_pairs``
             (backpressure into the engine's micro-batching scheduler)
-      → the caller's future is resolved from the dispatch thread via
-        ``loop.call_soon_threadsafe``
+      → the chunk is handed back once: each outcome counted with one
+        stats add per (outcome, lanes) group, then one
+        ``loop.call_soon_threadsafe(_set_results, ...)`` per submitting
+        event loop resolves that loop's futures, in chunk order
 
 Async callers await a :class:`_QueuedRequest` future — the asyncio
 sibling of the engine's ``_Pending`` slot: written exactly once, by the
 dispatching side, and handed back through the owning event loop so no
-response ever crosses threads unsynchronized.
+response ever crosses threads unsynchronized.  ``_set_results`` is the
+one thread→loop seam: a chunk costs one self-pipe wake-up per loop, not
+one per request.
 
 Two drive modes share all of that code path:
 
@@ -72,7 +76,8 @@ class _QueuedRequest:
 
     The future is created on (and resolved through) the submitting
     caller's event loop; the dispatch thread only ever touches it via
-    ``loop.call_soon_threadsafe``.
+    the one ``loop.call_soon_threadsafe(Gateway._set_results, ...)`` per
+    chunk and loop that carries the whole chunk's answers.
     """
 
     request: MatchRequest
@@ -296,48 +301,75 @@ class Gateway:
         """Answer one dequeued chunk (runs on a dispatch thread)."""
         persona = chunk[0].persona
         now = self._clock()
+        #: (outcome, item, response) for every answered request, in the
+        #: order the callers see them resolve.
+        answered: "list[tuple[str, _QueuedRequest, MatchResponse]]" = []
         live: list[_QueuedRequest] = []
         for item in chunk:
             deadline = item.request.deadline
             if deadline is not None and now >= deadline:
                 # Expired while queued: shed without ever dispatching.
-                self._settle(item, "expired", reason="deadline_expired")
+                answered.append((
+                    "expired", item,
+                    self._response(item.request, "expired", persona=persona,
+                                   reason="deadline_expired"),
+                ))
             else:
                 live.append(item)
-        if not live:
-            return
-        engine = self.router.engine(persona)
-        if self._breaker_open(engine, now):
-            self._degrade(live, reason="circuit_open")
-            return
         try:
-            results = engine.match_pairs(
-                [(item.request.left, item.request.right) for item in live]
-            )
-        except Exception:
-            # The engine's own retry/fallback machinery answers transport
-            # failures internally; anything escaping here is unexpected —
-            # degrade the chunk so no caller hangs, then let the error
-            # surface. (SimulatedCrash derives from BaseException and
-            # sails past this handler by design.)
-            self._degrade(live, reason="dispatch_error")
-            raise
-        for item, result in zip(live, results):
-            self.stats.add(
-                "completed", lanes=_lanes(item.request.tenant, item.persona)
-            )
-            self._release(item.request.tenant)
-            self._resolve(
-                item,
-                MatchResponse(
+            if not live:
+                return
+            engine = self.router.engine(persona)
+            if self._breaker_open(engine, now):
+                answered += self._degrade(live, reason="circuit_open")
+                return
+            try:
+                results = engine.match_pairs(
+                    [(item.request.left, item.request.right) for item in live]
+                )
+            except Exception:
+                # The engine's own retry/fallback machinery answers
+                # transport failures internally; anything escaping here is
+                # unexpected — degrade the chunk so no caller hangs, then
+                # let the error surface. (SimulatedCrash derives from
+                # BaseException and sails past this handler by design.)
+                answered += self._degrade(live, reason="dispatch_error")
+                raise
+            answered += [
+                ("completed", item, MatchResponse(
                     request=item.request,
                     status="ok",
                     decision=result.decision,
                     response=result.response,
                     source=result.source,
                     persona=item.persona,
-                ),
-            )
+                ))
+                for item, result in zip(live, results)
+            ]
+        finally:
+            self._hand_back(answered)
+
+    def _hand_back(
+        self, answered: "list[tuple[str, _QueuedRequest, MatchResponse]]"
+    ) -> None:
+        """Count, release and deliver one chunk's answers.
+
+        Each (outcome, lanes) group is one counter add, in first-occurrence
+        order, so the counts — key and lane order included — are those of
+        counting request by request.  Each submitting event loop gets one
+        ``call_soon_threadsafe`` carrying its answers, in order.
+        """
+        groups: "dict[tuple[str, tuple], int]" = {}
+        by_loop: "dict[asyncio.AbstractEventLoop, list]" = {}
+        for outcome, item, response in answered:
+            key = (outcome, _lanes(item.request.tenant, item.persona))
+            groups[key] = groups.get(key, 0) + 1
+            self._release(item.request.tenant)
+            by_loop.setdefault(item.loop, []).append((item, response))
+        for (outcome, lanes), n in groups.items():
+            self.stats.add(outcome, n=n, lanes=lanes)
+        for loop, pairs in by_loop.items():
+            loop.call_soon_threadsafe(self._set_results, pairs)
 
     # ------------------------------------------------------------ degradation
 
@@ -379,28 +411,25 @@ class Gateway:
         )
         return [bool(d) for d in self.fallback.predict(split)]
 
-    def _degrade(self, items: "list[_QueuedRequest]", reason: str) -> None:
+    def _degrade(
+        self, items: "list[_QueuedRequest]", reason: str
+    ) -> "list[tuple[str, _QueuedRequest, MatchResponse]]":
         """Answer *items* with the gateway's threshold matcher."""
         decisions = self._degraded_decisions(
             [(item.request.left, item.request.right) for item in items]
         )
-        for item, decision in zip(items, decisions):
-            self.stats.add(
-                "degraded", lanes=_lanes(item.request.tenant, item.persona)
-            )
-            self._release(item.request.tenant)
-            self._resolve(
-                item,
-                MatchResponse(
-                    request=item.request,
-                    status="ok",
-                    decision=decision,
-                    response=None,
-                    source="degraded",
-                    persona=item.persona,
-                    reason=reason,
-                ),
-            )
+        return [
+            ("degraded", item, MatchResponse(
+                request=item.request,
+                status="ok",
+                decision=decision,
+                response=None,
+                source="degraded",
+                persona=item.persona,
+                reason=reason,
+            ))
+            for item, decision in zip(items, decisions)
+        ]
 
     # ------------------------------------------------------------- plumbing
 
@@ -441,31 +470,18 @@ class Gateway:
         status = "expired" if outcome == "expired" else "shed"
         return self._response(request, status, persona=persona, reason=reason)
 
-    def _settle(self, item: _QueuedRequest, outcome: str, reason: str) -> None:
-        """Terminal non-answered outcome for a queued request."""
-        self.stats.add(outcome, lanes=_lanes(item.request.tenant, item.persona))
-        self._release(item.request.tenant)
-        status = "expired" if outcome == "expired" else "shed"
-        self._resolve(
-            item,
-            self._response(
-                item.request, status, persona=item.persona, reason=reason
-            ),
-        )
-
     def _release(self, tenant: str) -> None:
         if self.admission is not None:
             self.admission.release(tenant)
 
     @staticmethod
-    def _set_result(
-        future: "asyncio.Future[MatchResponse]", response: MatchResponse
+    def _set_results(
+        pairs: "list[tuple[_QueuedRequest, MatchResponse]]",
     ) -> None:
-        if not future.done():
-            future.set_result(response)
-
-    def _resolve(self, item: _QueuedRequest, response: MatchResponse) -> None:
-        item.loop.call_soon_threadsafe(self._set_result, item.future, response)
+        """Resolve a chunk's futures on their loop (the one hand-off seam)."""
+        for item, response in pairs:
+            if not item.future.done():
+                item.future.set_result(response)
 
 
 async def run_inline(

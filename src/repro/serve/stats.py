@@ -11,14 +11,17 @@ every request through the funnel::
                          └── shed             (queue full, no degradation)
                          └── expired          (deadline passed in queue)
 
-Each event is one :meth:`~repro.obs.Counters.add` into the total and the
-lanes ``("tenant", t)`` and ``("persona", p)``; an unknown persona has
-no persona lane, and a rejection also counts in its ``("reason", r)``
-lane.  The funnel is exact, and the declared ``RULES`` say so:
-``submitted = errors + rejected + admitted`` and ``admitted = completed
-+ degraded + shed + expired`` (plus whatever is still queued at snapshot
-time), and the tenant, persona and reason lanes each add up to the
-total.  ``completed`` additionally reconciles with the engines
+Events count into the total and the lanes ``("tenant", t)`` and
+``("persona", p)``; an unknown persona has no persona lane, and a
+rejection also counts in its ``("reason", r)`` lane.  An event on the
+submitting side is one :meth:`~repro.obs.Counters.add`.  A dispatched
+chunk makes one add per (outcome, lanes) group with ``n`` its size, in
+first-occurrence order, so its counts — values, lane order and key
+order — equal those of one add per request.  The funnel is exact, and
+the declared ``RULES`` say so: ``submitted = errors + rejected +
+admitted`` and ``admitted = completed + degraded + shed + expired``
+(plus whatever is still queued at snapshot time), and the tenant,
+persona and reason lanes each add up to the total.  ``completed`` additionally reconciles with the engines
 themselves — every completed request is exactly one engine request, so
 ``completed[persona] == engine.stats.requests`` for each routed engine;
 :meth:`GatewayStats.reconcile_engines` asserts it.

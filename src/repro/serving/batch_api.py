@@ -148,17 +148,31 @@ class BatchAPI:
         return job.responses
 
     def _execute(self, job: BatchJob) -> None:
+        """Answer the job with one model call.
+
+        Only when that call raises (a malformed prompt) is the job asked
+        again request by request, so each malformed prompt gets its own
+        error and the others their completions, in order.
+        """
         model = self._models[job.model_name]
-        for request in job.requests:
-            try:
-                content = model.complete_batch([request.prompt], self._memo)[0]
-            except ValueError as exc:
-                job.responses.append(
-                    BatchResponse(
-                        custom_id=request.custom_id, content=None, error=str(exc)
-                    )
-                )
-            else:
-                job.responses.append(
-                    BatchResponse(custom_id=request.custom_id, content=content)
-                )
+        prompts = [request.prompt for request in job.requests]
+        try:
+            answers = [
+                (content, None)
+                for content in model.complete_batch(prompts, self._memo)
+            ]
+        except ValueError:
+            answers = [self._complete_one(model, prompt) for prompt in prompts]
+        job.responses.extend(
+            BatchResponse(custom_id=request.custom_id, content=content, error=error)
+            for request, (content, error) in zip(job.requests, answers)
+        )
+
+    def _complete_one(
+        self, model: ChatModel, prompt: str
+    ) -> "tuple[str | None, str | None]":
+        """(completion, None), or (None, error) for a malformed prompt."""
+        try:
+            return model.complete_batch([prompt], self._memo)[0], None
+        except ValueError as exc:
+            return None, str(exc)

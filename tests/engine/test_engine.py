@@ -136,6 +136,56 @@ class TestSchedulingAndStats:
         assert engine.stats.requests == 0
 
 
+class _SnapshotBackend(EchoBackend):
+    """Echo backend that snapshots the engine's counts on every dispatch."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = None
+        self.seen = []
+
+    def generate(self, prompts):
+        self.seen.append(self.engine.stats.counts())
+        return super().generate(prompts)
+
+
+#: ``EngineStats.counts()`` after :class:`TestCallCounting`'s two calls,
+#: as counting one cache hit at a time left it: lanes in order, values.
+CALL_COUNTS = {
+    (): {"requests": 8, "cache_misses": 6, "batches": 3,
+         "batched_requests": 5, "circuit_opens": 0, "cache_hits": 2,
+         "deduped": 1},
+    ("flush", "size"): {"batches": 2},
+    ("flush", "drain"): {"batches": 1},
+}
+
+
+class TestCallCounting:
+    def test_one_call_counts_like_one_hit_at_a_time(self):
+        backend = _SnapshotBackend()
+        engine = MatchingEngine(
+            backend=backend, scheduler=Scheduler(max_batch_size=2)
+        )
+        backend.engine = engine
+        engine.match_pairs([("a", "b"), ("c", "d"), ("e", "f")])
+        # Two hits, three misses, one of them an in-call duplicate.
+        results = engine.match_pairs(
+            [("a", "b"), ("g", "h"), ("c", "d"), ("g", "h"), ("i", "j")]
+        )
+        assert [r.source for r in results] == [
+            "cache", "backend", "cache", "backend", "backend"
+        ]
+        counts = engine.stats.counts()
+        assert counts == CALL_COUNTS
+        assert list(counts) == list(CALL_COUNTS)
+        assert engine.stats.violations() == []
+        for seen in backend.seen:
+            total = seen[()]
+            assert total["requests"] == (
+                total.get("cache_hits", 0) + total["cache_misses"]
+            )
+
+
 class TestDeclaredBalances:
     """Each engine balance catches one counter drifting on its own."""
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lint.asyncflow import LOOP, THREAD
+from repro.lint.asyncflow import BOTH, LOOP, THREAD
 from repro.lint.deep import build_context, run_deep
 from repro.lint.findings import SCHEMA_VERSION, format_json
 
@@ -200,6 +200,16 @@ class TestRealTree:
         assert flow["contexts"]["thread"] >= 1
         assert flow["cst_callbacks"] >= 2
         assert flow["executor_hops"] >= 1
+
+    def test_gateway_hands_back_through_one_callback(self):
+        """The gateway's one thread→loop seam is a sanctioned hand-off:
+        ``_set_results`` runs on the loop, and the dispatch side that posts
+        it runs on both sides (worker threads and the inline pump)."""
+        flow = build_context(REPO_ROOT).asyncflow
+        gateway = "repro.serve.gateway.Gateway"
+        assert f"{gateway}._set_results" in flow.cst_callbacks
+        assert flow.context[f"{gateway}._set_results"] == LOOP
+        assert flow.context[f"{gateway}._hand_back"] == BOTH
 
     def test_deep_json_byte_identical_across_runs(self):
         first = run_deep(REPO_ROOT)

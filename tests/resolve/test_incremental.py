@@ -72,7 +72,9 @@ class TestIngestion:
         for result, record in zip(results, records):
             assert result.record_id == record.record_id
             cluster = store.clustering().cluster_of(record.record_id)
-            assert store._cluster_of(record.record_id) == cluster
+            assert store._cluster_of(record.record_id) == (
+                cluster[0], len(cluster)
+            )
         # The reported cluster id is the canonical min member.
         last = results[-1]
         assert last.cluster_id == min(
@@ -129,6 +131,42 @@ class TestIngestion:
             list(pool.map(concurrent.ingest, records))
         assert concurrent.clustering() == sequential.clustering()
         assert len(concurrent) == 12
+
+
+class TestIngestResultCluster:
+    """``IngestResult.cluster_id``/``cluster_size`` read the live component."""
+
+    @staticmethod
+    def _stream(seed, n=60):
+        """Records over four small vocabularies, so clusters chain and merge."""
+        rng = derive_rng(seed, "ingest-result-stream")
+        records = []
+        for i in range(n):
+            family = int(rng.integers(4))
+            vocab = [f"f{family}t{j}" for j in range(8)]
+            records.append(Record(
+                record_id=f"s{int(rng.integers(10_000)):04d}-{i:03d}",
+                attributes={},
+                description=" ".join(rng.choice(vocab, size=4, replace=False)),
+            ))
+        return records
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cluster_fields_equal_the_component(self, seed):
+        store = ResolutionStore(
+            MatchingEngine(backend=JaccardBackend(threshold=0.5)), chunk_size=4
+        )
+        records = self._stream(seed)
+        store.add_must_link(records[-1].record_id, records[0].record_id)
+        sizes = set()
+        for record in records:
+            result = store.ingest(record)
+            component = store._uf.component_of(record.record_id)
+            assert result.cluster_id == component[0]
+            assert result.cluster_size == len(component)
+            assert component == store.clustering().cluster_of(record.record_id)
+            sizes.add(result.cluster_size)
+        assert len(sizes) > 2  # the stream grew clusters of several sizes
 
 
 class _CountingIndex(TokenCandidateIndex):

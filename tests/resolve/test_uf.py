@@ -52,6 +52,14 @@ class TestMembership:
         assert uf.union("r00", "r02") is False
         assert uf.components() == EXPECTED
 
+    def test_size_of_counts_the_component(self):
+        uf = _build(ELEMENTS, EDGES)
+        assert [uf.size_of(e) for e in ELEMENTS] == [
+            3, 3, 3, 2, 2, 3, 3, 3, 3, 3, 3, 1
+        ]
+        with pytest.raises(KeyError):
+            uf.size_of("nope")
+
     def test_find_unknown_element_raises(self):
         with pytest.raises(KeyError):
             UnionFind().find("ghost")
@@ -149,6 +157,7 @@ def _assert_matches(uf, elements, edges):
     for element in elements:
         assert uf.component_of(element) == owner[element]
         assert uf.find(element) == owner[element][0]
+        assert uf.size_of(element) == len(owner[element])
     for a in elements:
         for b in elements:
             assert uf.connected(a, b) == (owner[a] is owner[b])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.llm.model import build_model
+from repro.llm.model import ChatModel, build_model
 from repro.prompts.templates import COMPLEX_FORCE
 from repro.serving.batch_api import BatchAPI, BatchRequest, UnknownJobError
 
@@ -70,6 +70,63 @@ class TestBatchAPI:
         model = build_model("gpt-4o-mini")
         name = api.register_model(model)
         assert name == "gpt-4o-mini:zero-shot"
+
+
+class TestOneModelCallPerJob:
+    """A job is answered by one ``complete_batch`` call unless it fails."""
+
+    @staticmethod
+    def _expected(requests):
+        """Each request answered on its own: a completion or its error."""
+        model = build_model("gpt-4o-mini")
+        expected = []
+        for request in requests:
+            try:
+                expected.append((request.custom_id, model.complete(request.prompt), None))
+            except ValueError as exc:
+                expected.append((request.custom_id, None, str(exc)))
+        return expected
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        original = ChatModel.complete_batch
+
+        def spy(model, prompts, memo=None):
+            calls.append(list(prompts))
+            return original(model, prompts, memo)
+
+        monkeypatch.setattr(ChatModel, "complete_batch", spy)
+        return calls
+
+    def test_an_all_valid_job_makes_one_model_call(
+        self, api, product_split, monkeypatch
+    ):
+        requests = _requests(product_split, n=8)
+        expected = self._expected(requests)
+        calls = self._spy(monkeypatch)
+        responses = api.run_to_completion(
+            api.submit("gpt-4o-mini", requests).job_id
+        )
+        assert calls == [[r.prompt for r in requests]]
+        assert [(r.custom_id, r.content, r.error) for r in responses] == expected
+
+    def test_a_malformed_prompt_still_gets_its_own_error(
+        self, api, product_split, monkeypatch
+    ):
+        requests = _requests(product_split, n=4)
+        requests.insert(2, BatchRequest(custom_id="bad", prompt="malformed"))
+        expected = self._expected(requests)
+        calls = self._spy(monkeypatch)
+        responses = api.run_to_completion(
+            api.submit("gpt-4o-mini", requests).job_id
+        )
+        assert [(r.custom_id, r.content, r.error) for r in responses] == expected
+        assert [r.ok for r in responses] == [True, True, False, True, True]
+        # The job's call raised; each request is then asked on its own.
+        assert calls == [[r.prompt for r in requests]] + [
+            [r.prompt] for r in requests
+        ]
 
 
 class TestUnknownJob:
