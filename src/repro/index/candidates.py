@@ -25,10 +25,12 @@ a query touches ~1000 collisions and this is the difference between
 microseconds and milliseconds.
 
 Records enter one at a time through :meth:`add` (live ingestion) or
-many at once through :meth:`add_many` (journal replay, snapshot
-restore): one signing pass over the batch, one band-key matrix, one
-matrix growth.  Both paths append rows and postings through the same
-helper, so a batch leaves exactly the state a loop of ``add`` would.
+many at once through :meth:`add_many` (journal replay) and
+:meth:`restore_state` (snapshot restore): one signing pass over the
+batch, one band-key matrix, one matrix growth.  Both paths append
+signature rows through the same helper; they differ in where the band
+keys are posted (below), so a batch answers every query exactly as a
+loop of ``add`` would.
 
 The store queries a record's candidates right after adding it, so the
 index keeps the last description it hashed beside its signature and
@@ -37,9 +39,23 @@ ingest signs and mixes each record once.  The slot holds one entry,
 never a memo that grows; signature and keys are pure functions of the
 description, so every caller gets the answer a fresh hash would.
 
-Postings are one plain ``dict`` from band key to the ids in that
-bucket, in insertion order.  The index is not locked: the store guards
-it, like :class:`~repro.resolve.incremental.TokenCandidateIndex`.
+Postings map a band key to the signature rows in that bucket, in two
+tiers chosen by the call, not by size:
+
+* the **live tier**, a plain ``dict`` from band key to a list of rows,
+  takes :meth:`add` — one short list append per band;
+* the **columnar tier**, two parallel arrays of band keys and rows
+  sorted by (key, row), takes :meth:`add_many` and
+  :meth:`restore_state` — one stable argsort per bulk call instead of
+  one dict insert per band key (a second bulk call re-sorts the
+  concatenation; that happens only during recovery).
+
+A query unions the rows found in the dict with those
+``np.searchsorted`` finds in the arrays, evaluates the similarity floor
+on those rows directly, and maps only the survivors to ids, so a
+bucket's order never shows: :meth:`candidates` returns sorted distinct
+ids.  The index is not locked: the store guards it, like
+:class:`~repro.resolve.incremental.TokenCandidateIndex`.
 """
 
 from __future__ import annotations
@@ -49,7 +65,12 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from repro.blocking.token import blocking_tokens
-from repro.index.lsh import LSHBanding, add_postings, colliding_ids
+from repro.index.lsh import (
+    LSHBanding,
+    add_postings,
+    merge_segment,
+    segment_rows,
+)
 from repro.index.minhash import MinHasher
 from repro.index.protocol import CandidateIndex
 from repro.index.topk import RankedCandidate
@@ -87,17 +108,21 @@ class MinHashCandidateIndex(CandidateIndex):
             self.banding = LSHBanding.from_threshold(num_perm, threshold)
         self.hasher = MinHasher(num_perm=self.banding.num_perm, seed=seed)
         self.min_similarity = min_similarity
-        #: band key -> ids in that bucket, in insertion order.
-        self._postings: dict[int, list[str]] = {}
+        #: live tier: band key -> rows in that bucket, in insertion order.
+        self._postings: dict[int, list[int]] = {}
+        #: columnar tier: band keys and rows, sorted by (key, row).
+        self._segment_keys = np.empty(0, dtype=np.uint64)
+        self._segment_rows = np.empty(0, dtype=np.intp)
         self._row: dict[str, int] = {}
+        #: row -> id, the inverse of ``_row``.
+        self._ids: list[str] = []
         self._matrix = np.empty(
             (_INITIAL_CAPACITY, self.banding.num_perm), dtype=np.uint64
         )
         self._count = 0
         #: records indexed with an empty token set (no blocking key).
         self.unindexable = 0
-        #: ids of those records added since construction or the last
-        #: restore (snapshots keep only their count).
+        #: ids of those records.
         self._unsigned: set[str] = set()
         #: (description, signature, band keys) of the last description
         #: hashed; keys are empty for a token-less description.
@@ -138,7 +163,8 @@ class MinHashCandidateIndex(CandidateIndex):
             self._unsigned.add(record_id)
             self.unindexable += 1
             return
-        self._append([record_id], signature[np.newaxis, :], [keys])
+        row = self._append([record_id], signature[np.newaxis, :])
+        add_postings(self._postings, (row,), (keys,))
 
     def add_many(self, items: Iterable[tuple[str, str]]) -> None:
         """Index ``(record_id, description)`` pairs in one bulk pass.
@@ -158,19 +184,10 @@ class MinHashCandidateIndex(CandidateIndex):
         signed_ids = [items[position][0] for position in signed]
         self._unsigned.update(fresh.difference(signed_ids))
         self.unindexable += len(items) - len(signed)
-        self._append(signed_ids, matrix)
+        self._append_segment(signed_ids, matrix)
 
-    def _append(
-        self,
-        ids: Sequence[str],
-        signatures: np.ndarray,
-        key_rows: Sequence[Sequence[int]] | None = None,
-    ) -> None:
-        """Store *signatures* as the next rows and post their band keys.
-
-        *key_rows* are the rows' band keys when the caller already has
-        them; otherwise they are mixed here.
-        """
+    def _append(self, ids: Sequence[str], signatures: np.ndarray) -> int:
+        """Store *signatures* as the next rows; returns the first row."""
         count = self._count
         needed = count + len(ids)
         if needed > len(self._matrix):
@@ -182,20 +199,38 @@ class MinHashCandidateIndex(CandidateIndex):
             self._matrix = grown
         self._matrix[count:needed] = signatures
         self._row.update(zip(ids, range(count, needed)))
+        self._ids.extend(ids)
         self._count = needed
-        if key_rows is None:
-            key_rows = self.banding.band_key_rows(signatures)
-        add_postings(self._postings, ids, key_rows)
+        return count
+
+    def _append_segment(
+        self, ids: Sequence[str], signatures: np.ndarray
+    ) -> None:
+        """Store *signatures* and post their keys to the columnar tier."""
+        first = self._append(ids, signatures)
+        if len(ids):
+            self._segment_keys, self._segment_rows = merge_segment(
+                self._segment_keys,
+                self._segment_rows,
+                self.banding.band_key_matrix(signatures),
+                first,
+            )
+
+    def _colliding_rows(self, keys: Sequence[int]) -> set[int]:
+        """Distinct rows sharing any of the band *keys*, in either tier."""
+        found: set[int] = set()
+        for key in keys:
+            found.update(self._postings.get(key, ()))
+        if len(self._segment_keys):
+            found.update(
+                segment_rows(self._segment_keys, self._segment_rows, keys)
+            )
+        return found
 
     def _floor_similarities(
-        self, signature: np.ndarray, found: list[str]
+        self, signature: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """Estimated Jaccard of *signature* against each id in *found*."""
-        rows = np.fromiter(
-            (self._row[record_id] for record_id in found),
-            dtype=np.intp,
-            count=len(found),
-        )
+        """Estimated Jaccard of *signature* against each of *rows*."""
         return (
             (self._matrix[rows] == signature[np.newaxis, :])
             .mean(axis=1)
@@ -208,20 +243,15 @@ class MinHashCandidateIndex(CandidateIndex):
         signature, keys = self._hashed(description)
         if signature is None:
             return ()
-        found = [
-            record_id
-            for record_id in colliding_ids(self._postings, keys)
-            if record_id != exclude
-        ]
-        if not found or self.min_similarity == 0.0:
-            return tuple(found)
-        keep = self._floor_similarities(signature, found)
-        keep = keep >= self.min_similarity
-        return tuple(
-            record_id
-            for record_id, kept in zip(found, keep.tolist())
-            if kept
-        )
+        found = self._colliding_rows(keys)
+        if exclude is not None:
+            found.discard(self._row.get(exclude))
+        if found and self.min_similarity > 0.0:
+            rows = np.fromiter(found, dtype=np.intp, count=len(found))
+            keep = self._floor_similarities(signature, rows)
+            found = rows[keep >= self.min_similarity].tolist()
+        ids = self._ids
+        return tuple(sorted([ids[row] for row in found]))
 
     def blocking_keys(self, description: str) -> tuple[int, ...]:
         """LSH band keys of the description's signature.
@@ -239,17 +269,23 @@ class MinHashCandidateIndex(CandidateIndex):
 
         Signatures serialize as plain int lists in row order; postings
         are *not* serialized — they are a pure function of the
-        signatures and rebuild in the same per-bucket order on restore.
+        signatures and rebuild on restore.  The sorted ids of token-less
+        records follow under ``unindexable_ids`` when there are any.
         """
-        ids_by_row = sorted(self._row, key=self._row.__getitem__)
-        return {
-            "ids": ids_by_row,
+        state: dict = {
+            "ids": list(self._ids),
             "signatures": self._matrix[: self._count].tolist(),
             "unindexable": self.unindexable,
         }
+        if self._unsigned:
+            state["unindexable_ids"] = sorted(self._unsigned)
+        return state
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild matrix, row map, and postings from snapshot state."""
+        """Rebuild matrix, row map, and postings from snapshot state.
+
+        The postings go to the columnar tier.
+        """
         ids = [str(record_id) for record_id in state["ids"]]
         signatures = state["signatures"]
         if len(ids) != len(signatures):
@@ -261,11 +297,16 @@ class MinHashCandidateIndex(CandidateIndex):
             (_INITIAL_CAPACITY, self.banding.num_perm), dtype=np.uint64
         )
         self._row = {}
+        self._ids = []
         self._count = 0
         self._postings = {}
+        self._segment_keys = np.empty(0, dtype=np.uint64)
+        self._segment_rows = np.empty(0, dtype=np.intp)
         self.unindexable = int(state.get("unindexable", 0))
-        self._unsigned = set()
-        self._append(
+        self._unsigned = {
+            str(record_id) for record_id in state.get("unindexable_ids", ())
+        }
+        self._append_segment(
             ids,
             np.asarray(signatures, dtype=np.uint64).reshape(
                 len(ids), self.banding.num_perm
@@ -296,22 +337,18 @@ class MinHashCandidateIndex(CandidateIndex):
         if row is None:
             return ()
         signature = self._matrix[row]
-        keys = self.banding.band_keys(signature)
-        found = [
-            other
-            for other in colliding_ids(self._postings, keys)
-            if other != record_id
-        ]
+        found = self._colliding_rows(self.banding.band_keys(signature))
+        found.discard(row)
         if not found:
             return ()
-        similarities = self._floor_similarities(signature, found)
+        rows = np.fromiter(found, dtype=np.intp, count=len(found))
+        names = [self._ids[other] for other in rows.tolist()]
+        similarities = self._floor_similarities(signature, rows)
         # lexsort's last key is primary: similarity descending, then
-        # record id ascending — found is already sorted, so stable
-        # order on -similarities alone would also do, but the explicit
-        # key pair keeps the contract independent of that detail.
-        order = np.lexsort((np.array(found), -similarities))
+        # record id ascending.
+        order = np.lexsort((np.array(names), -similarities))
         ranked = [
-            RankedCandidate(found[i], float(similarities[i]))
+            RankedCandidate(names[i], float(similarities[i]))
             for i in order.tolist()
             if similarities[i] >= self.min_similarity
         ]
@@ -320,8 +357,16 @@ class MinHashCandidateIndex(CandidateIndex):
         return tuple(ranked)
 
     def stats(self) -> dict[str, object]:
-        """Index composition snapshot (banding, bucket fill)."""
-        sizes = [len(ids) for ids in self._postings.values()]
+        """Index composition snapshot (banding, bucket fill).
+
+        A bucket counts once however its postings split between the
+        live and the columnar tier.
+        """
+        keys, counts = np.unique(self._segment_keys, return_counts=True)
+        fill = dict(zip(keys.tolist(), counts.tolist()))
+        for key, rows in self._postings.items():
+            fill[key] = fill.get(key, 0) + len(rows)
+        sizes = fill.values()
         return {
             "records": len(self),
             "indexed": self._count,

@@ -16,7 +16,7 @@ S-curve) on ties.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -27,12 +27,16 @@ __all__ = [
     "add_postings",
     "colliding_ids",
     "collision_probability",
+    "merge_segment",
+    "segment_rows",
     "solve_banding",
     "threshold_at",
 ]
 
-#: signature rows mixed per block in :meth:`LSHBanding.band_key_rows`.
+#: signature rows mixed per block in :meth:`LSHBanding.band_key_matrix`.
 _BLOCK_ROWS = 4096
+
+_Id = TypeVar("_Id")
 
 
 def threshold_at(bands: int, rows: int) -> float:
@@ -126,7 +130,11 @@ class LSHBanding:
         return tuple(self.band_key_rows(signature.reshape(1, -1))[0])
 
     def band_key_rows(self, signatures: np.ndarray) -> list[list[int]]:
-        """One list of band keys per row of a ``(n, num_perm)`` matrix.
+        """One list of band keys per row of a ``(n, num_perm)`` matrix."""
+        return self.band_key_matrix(signatures).tolist()
+
+    def band_key_matrix(self, signatures: np.ndarray) -> np.ndarray:
+        """The ``(n, bands)`` uint64 band keys of a ``(n, num_perm)`` matrix.
 
         Rows are mixed :data:`_BLOCK_ROWS` at a time, so the uint64
         scratch stays bounded for any *n*.
@@ -136,20 +144,19 @@ class LSHBanding:
                 f"signature width {signatures.shape} != "
                 f"bands*rows = {self.num_perm}"
             )
-        keys: list[list[int]] = []
+        keys = np.empty((len(signatures), self.bands), dtype=np.uint64)
         for low in range(0, len(signatures), _BLOCK_ROWS):
             block = signatures[low:low + _BLOCK_ROWS]
-            mixed = (
+            keys[low:low + len(block)] = (
                 self._coefficients
                 * block.reshape(len(block), self.bands, self.rows)
             ).sum(axis=2, dtype=np.uint64) + self._offsets
-            keys.extend(mixed.tolist())
         return keys
 
 
 def add_postings(
-    postings: dict[int, list[str]],
-    ids: Sequence[str],
+    postings: dict[int, list[_Id]],
+    ids: Sequence[_Id],
     key_rows: Sequence[Sequence[int]],
 ) -> None:
     """Append each id to the bucket of every one of its band keys."""
@@ -170,3 +177,38 @@ def colliding_ids(
     for key in keys:
         found.update(postings.get(key, ()))
     return sorted(found)
+
+
+def merge_segment(
+    keys: np.ndarray, rows: np.ndarray, key_matrix: np.ndarray, first_row: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A columnar posting segment with *key_matrix*'s postings merged in.
+
+    A segment is two parallel arrays, uint64 band keys and row numbers,
+    sorted by (key, row).  Row ``i`` of *key_matrix* is row
+    ``first_row + i``, above every row already in the segment, so one
+    stable argsort of the concatenated keys keeps each bucket in row
+    order.
+    """
+    count, bands = key_matrix.shape
+    keys = np.concatenate((keys, key_matrix.ravel()))
+    rows = np.concatenate(
+        (rows, np.repeat(np.arange(first_row, first_row + count), bands))
+    )
+    order = np.argsort(keys, kind="stable")
+    return keys[order], rows[order]
+
+
+def segment_rows(
+    keys: np.ndarray, rows: np.ndarray, query: Sequence[int]
+) -> list[int]:
+    """Rows of a columnar segment posted under any of the *query* keys."""
+    query = np.asarray(query, dtype=np.uint64)
+    found: list[int] = []
+    for low, high in zip(
+        np.searchsorted(keys, query, side="left").tolist(),
+        np.searchsorted(keys, query, side="right").tolist(),
+    ):
+        if high > low:
+            found.extend(rows[low:high].tolist())
+    return found

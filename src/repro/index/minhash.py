@@ -50,8 +50,7 @@ class MinHasher:
         self.num_perm = num_perm
         self.seed = seed
         rng = derive_rng(seed, "index", "minhash", num_perm)
-        # Odd multipliers + offsets, shaped (num_perm, 1) so one
-        # broadcastable multiply covers every (permutation, token) cell.
+        # Odd multipliers + offsets, one (num_perm, 1) column each.
         # uint64 arithmetic wraps mod 2**64, which is the hash family.
         self._a = (
             rng.integers(0, 2**62, size=(num_perm, 1), dtype=np.uint64)
@@ -90,8 +89,9 @@ class MinHasher:
 
         Every set's token hashes are laid end to end in one column
         vector; each block of at most :data:`_BLOCK_COLUMNS` columns
-        takes one ``(num_perm, columns)`` multiply-shift product and
-        one ``np.minimum.reduceat`` over the set boundaries inside it.
+        takes one contiguous ``(columns, num_perm)`` multiply-shift
+        product and one ``np.minimum.reduceat`` down the set boundaries
+        inside it, which yields the block's signature rows directly.
         A set cut by a block edge keeps the minimum of its two parts,
         so the result does not depend on the blocking, and scratch
         memory stays bounded however many sets come in.
@@ -106,6 +106,7 @@ class MinHasher:
                 starts.append(len(hashes))
                 hashes.extend(self._token_hash(t) for t in distinct)
         column = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
+        a_row, b_row = self._a.T, self._b.T
         blocks: list[np.ndarray] = []
         first = 0
         for low in range(0, len(hashes), _BLOCK_COLUMNS):
@@ -116,8 +117,9 @@ class MinHasher:
             cuts = [start - low for start in starts[first:last]]
             carried = cuts[0] < 0
             cuts[0] = 0
-            product = self._a * column[low:high] + self._b
-            minima = np.minimum.reduceat(product, cuts, axis=1).T
+            product = column[low:high, np.newaxis] * a_row
+            product += b_row
+            minima = np.minimum.reduceat(product, cuts, axis=0)
             if carried:
                 np.minimum(minima[0], blocks[-1][-1], out=minima[0])
                 blocks[-1] = blocks[-1][:-1]

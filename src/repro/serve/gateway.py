@@ -189,11 +189,11 @@ class Gateway:
                 request, "error", persona="", reason=str(exc)
             )
         lanes = _lanes(request.tenant, persona)
-        self.stats.add("submitted", lanes=lanes)
-
         if self.admission is not None:
             refusal = self.admission.admit(request.tenant)
             if refusal is not None:
+                # Two adds: the reason lane counts the rejection only.
+                self.stats.add("submitted", lanes=lanes)
                 self.stats.add("rejected", lanes=(*lanes, ("reason", refusal)))
                 return self._response(
                     request, "rejected", persona=persona, reason=refusal
@@ -214,12 +214,16 @@ class Gateway:
             enqueued_at=now,
         )
         with self._cv:
-            if len(self._queue) >= self.queue_capacity:
-                overloaded = True
-            else:
-                overloaded = False
+            depth = len(self._queue) + 1
+            overloaded = depth > self.queue_capacity
+            if not overloaded:
+                # Counted before a worker can see the item, so no
+                # snapshot shows its completion before its admission.
+                self.stats.add(
+                    "submitted", "admitted", lanes=lanes,
+                    peak=("queue_high_water", depth),
+                )
                 self._queue.append(item)
-                depth = len(self._queue)
                 self._cv.notify()
         if overloaded:
             if self.degrade_on_overload:
@@ -229,9 +233,6 @@ class Gateway:
             return self._settle_unqueued(
                 request, persona, "shed", reason="queue_full"
             )
-        self.stats.add(
-            "admitted", lanes=lanes, peak=("queue_high_water", depth)
-        )
         return await item.future
 
     async def match_many(
@@ -457,7 +458,8 @@ class Gateway:
     ) -> MatchResponse:
         """Terminal outcome for an admitted request that never queued."""
         self.stats.add(
-            "admitted", outcome, lanes=_lanes(request.tenant, persona),
+            "submitted", "admitted", outcome,
+            lanes=_lanes(request.tenant, persona),
             peak=("queue_high_water", self.queue_depth),
         )
         self._release(request.tenant)

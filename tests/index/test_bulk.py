@@ -9,6 +9,9 @@ properties pin that pass to the per-record path it replaces:
 * an index fed by ``add_many`` answers every query, snapshots and
   reports exactly like one fed record by record — across the 256-row
   matrix growth boundary and the 4,096-column signing block;
+* an index whose postings sit in both tiers (live ``add`` before and
+  after ``add_many``, two ``add_many`` calls, ``restore_state`` then
+  live adds) answers exactly like one fed record by record;
 * a batch with a duplicate id raises before any state changes.
 """
 
@@ -70,12 +73,44 @@ def batches(draw):
     wide = draw(st.sets(st.integers(0, max(batch_size - 1, 0)), max_size=3))
     rng = derive_rng(seed, "index-bulk-test")
     earlier: list[str] = []
+    prefix = _records(rng, prefix_size, 0, earlier)
+    return prefix, _records(rng, batch_size, prefix_size, earlier, wide)
+
+
+def _records(rng, count, first, earlier, wide=()):
+    """*count* (id, description) pairs, ids from ``r{first:04d}`` on.
+
+    Appends each description to *earlier*, the pool repeats draw from.
+    """
     records = []
-    for n in range(prefix_size + batch_size):
-        description = _description(rng, earlier, n - prefix_size in wide)
+    for n in range(first, first + count):
+        description = _description(rng, earlier, n - first in wide)
         earlier.append(description)
         records.append((f"r{n:04d}", description))
-    return records[:prefix_size], records[prefix_size:]
+    return records
+
+
+@st.composite
+def tiered(draw):
+    """Three record segments, each with the call that indexes it."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = [draw(st.sampled_from([0, 1, 57, 256, 257])) for _ in range(3)]
+    calls = [
+        draw(st.sampled_from(["add", "add_many", "restore"])),
+        draw(st.sampled_from(["add", "add_many"])),
+        draw(st.sampled_from(["add", "add_many"])),
+    ]
+    wide = draw(st.sets(st.integers(0, max(sizes[1] - 1, 0)), max_size=2))
+    rng = derive_rng(seed, "index-tier-test")
+    earlier: list[str] = []
+    segments = [
+        _records(
+            rng, size, sum(sizes[:position]), earlier,
+            wide if position == 1 else (),
+        )
+        for position, size in enumerate(sizes)
+    ]
+    return list(zip(calls, segments))
 
 
 def _index(min_similarity):
@@ -124,6 +159,35 @@ class TestSigningAndBanding:
             assert banding.band_keys(matrix[row]) == reference
 
 
+class TestBlockEdges:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [4095, 1, 5],
+            [4096, 3],
+            [4097],
+            [1, 4094, 2, 4096, 7],
+            [9000, 1],
+            [3, 4093, 4096, 4096],
+        ],
+    )
+    def test_signatures_equal_the_reference_across_the_4096_column_edge(
+        self, sizes
+    ):
+        hasher = MinHasher(num_perm=96, seed=3)
+        offsets = np.cumsum([0, *sizes])
+        token_lists = [
+            [f"t{j}" for j in range(low, high)]
+            for low, high in zip(offsets[:-1], offsets[1:])
+        ]
+        matrix, signed = hasher.signatures(token_lists)
+        assert signed == list(range(len(sizes)))
+        for row, tokens in enumerate(token_lists):
+            np.testing.assert_array_equal(
+                matrix[row], reference_signature(hasher, tokens)
+            )
+
+
 class TestAddManyEqualsAddLoop:
     @given(batches(), st.sampled_from([0.0, 0.35]))
     @settings(max_examples=25, deadline=None)
@@ -161,6 +225,62 @@ class TestAddManyEqualsAddLoop:
             assert restored.candidates(description, exclude=record_id) == (
                 source.candidates(description, exclude=record_id)
             )
+
+
+class TestMixedTiers:
+    @given(tiered(), st.sampled_from([0.0, 0.35]))
+    @settings(max_examples=30, deadline=None)
+    def test_same_state_and_answers_as_an_add_loop(
+        self, steps, min_similarity
+    ):
+        mixed = _index(min_similarity)
+        loop = _index(min_similarity)
+        for call, segment in steps:
+            if call == "restore":
+                source = _index(min_similarity)
+                source.add_many(segment)
+                mixed.restore_state(source.snapshot_state())
+            elif call == "add_many":
+                mixed.add_many(segment)
+            else:
+                for record_id, description in segment:
+                    mixed.add(record_id, description)
+            for record_id, description in segment:
+                loop.add(record_id, description)
+
+        assert _state(mixed) == _state(loop)
+        records = [record for _, segment in steps for record in segment]
+        assert len(mixed) == len(loop) == len(records)
+        for record_id, description in records:
+            assert mixed.candidates(description, exclude=record_id) == (
+                loop.candidates(description, exclude=record_id)
+            )
+            assert mixed.top_candidates(record_id) == loop.top_candidates(
+                record_id
+            )
+            assert mixed.blocking_keys(description) == loop.blocking_keys(
+                description
+            )
+
+
+class TestTokenLessIdsSurviveRestore:
+    def test_restored_index_rejects_a_token_less_id(self):
+        index = _index(0.35)
+        index.add("blank", "!!!")
+        index.add("a", "acme widget")
+        restored = _index(0.35)
+        restored.restore_state(index.snapshot_state())
+        for description in ("...", "acme widget pro"):
+            with pytest.raises(ValueError, match="already indexed"):
+                restored.add("blank", description)
+        assert _state(restored) == _state(index)
+
+    def test_snapshot_without_token_less_records_has_no_id_list(self):
+        index = _index(0.35)
+        index.add("a", "acme widget")
+        assert set(index.snapshot_state()) == {
+            "ids", "signatures", "unindexable"
+        }
 
 
 class TestDuplicateIds:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.datasets.synthetic import synthetic_dedup_corpus
 from repro.index import MinHashCandidateIndex, MinHashBlocker, rank_candidates
-from repro.index.lsh import colliding_ids
 
 
 def _index(**kwargs):
@@ -174,28 +173,50 @@ class TestSignatureReuse:
 
 
 class TestTopCandidates:
-    def test_matches_rank_candidates_contract(self):
-        """The matrix-backed ranking equals the reference implementation."""
-        corpus = _corpus()
-        index = _index(min_similarity=0.2)
-        for record in corpus.records:
-            index.add(record.record_id, record.description)
-        for record in corpus.records[:25]:
-            signature = index.signature_of(record.record_id)
-            found = [
+    @staticmethod
+    def _assert_reference_ranking(index, items):
+        """Rankings equal :func:`rank_candidates` over brute-force buckets.
+
+        Two records collide iff their band keys share a key.
+        """
+        signatures = {
+            record_id: index.signature_of(record_id) for record_id, _ in items
+        }
+        keys = {
+            record_id: set(index.banding.band_keys(signature))
+            for record_id, signature in signatures.items()
+        }
+        ranked = 0
+        for record_id, _ in items[:25]:
+            found = sorted(
                 other
-                for other in colliding_ids(
-                    index._postings, index.banding.band_keys(signature)
-                )
-                if other != record.record_id
-            ]
+                for other in keys
+                if other != record_id and keys[other] & keys[record_id]
+            )
             expected = rank_candidates(
-                signature,
-                [(other, index.signature_of(other)) for other in found],
+                signatures[record_id],
+                [(other, signatures[other]) for other in found],
                 k=5,
                 min_similarity=index.min_similarity,
             )
-            assert index.top_candidates(record.record_id, k=5) == expected
+            assert index.top_candidates(record_id, k=5) == expected
+            ranked += len(expected)
+        assert ranked > 0
+
+    def test_matches_rank_candidates_contract(self):
+        """The matrix-backed ranking equals the reference implementation."""
+        items = [(r.record_id, r.description) for r in _corpus().records]
+        index = _index(min_similarity=0.2)
+        for record_id, description in items:
+            index.add(record_id, description)
+        self._assert_reference_ranking(index, items)
+
+    def test_columnar_tier_matches_rank_candidates_contract(self):
+        """The same contract when ``add_many`` posts every record."""
+        items = [(r.record_id, r.description) for r in _corpus().records]
+        index = _index(min_similarity=0.2)
+        index.add_many(items)
+        self._assert_reference_ranking(index, items)
 
     def test_unknown_record_is_empty(self):
         assert _index().top_candidates("ghost") == ()
