@@ -27,17 +27,33 @@ microseconds and milliseconds.
 Records enter one at a time through :meth:`add` (live ingestion) or
 many at once through :meth:`add_many` (journal replay) and
 :meth:`restore_state` (snapshot restore): one signing pass over the
-batch, one band-key matrix, one matrix growth.  Both paths append
-signature rows through the same helper; they differ in where the band
+batch, one band-key matrix, one matrix growth.  Both paths grow the
+signature matrix through the same helper; they differ in where the band
 keys are posted (below), so a batch answers every query exactly as a
 loop of ``add`` would.
 
 The store queries a record's candidates right after adding it, so the
 index keeps the last description it hashed beside its signature and
 band keys and reuses both when the same description comes back: a live
-ingest signs and mixes each record once.  The slot holds one entry,
-never a memo that grows; signature and keys are pure functions of the
-description, so every caller gets the answer a fresh hash would.
+ingest signs and mixes each record once, through the one-record forms
+:meth:`~repro.index.minhash.MinHasher.signature` and
+:meth:`~repro.index.lsh.LSHBanding.band_keys`.  A live :meth:`add` also
+puts in the slot its row and the buckets it joined that held earlier
+rows, found in the same loop that appends the row to each of its band
+buckets, so the query that follows unions those lists and looks up no
+key again.  The slot keeps the lists, not a copy of their rows, so an
+``add`` no query follows pays nothing per bucket mate.  Every signed
+``add`` rewrites the slot, and every bulk call clears what it met, so
+the slot always matches the live tier; any other query looks its keys
+up.  The slot holds one entry, never a memo that grows; signature and
+keys are pure functions of the description, so every caller gets the
+answer a fresh hash would.
+
+The similarity floor is an agreement count: ``min_similarity`` becomes
+the least number of agreeing signature positions ``c`` with
+``c / num_perm >= min_similarity``, the same float test a ``mean`` of
+the agreements makes, so a query keeps exactly the rows the mean
+would.
 
 Postings map a band key to the signature rows in that bucket, in two
 tiers chosen by the call, not by size:
@@ -65,12 +81,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from repro.blocking.token import blocking_tokens
-from repro.index.lsh import (
-    LSHBanding,
-    add_postings,
-    merge_segment,
-    segment_rows,
-)
+from repro.index.lsh import LSHBanding, merge_segment, segment_rows
 from repro.index.minhash import MinHasher
 from repro.index.protocol import CandidateIndex
 from repro.index.topk import RankedCandidate
@@ -78,6 +89,12 @@ from repro.index.topk import RankedCandidate
 __all__ = ["MinHashCandidateIndex"]
 
 _INITIAL_CAPACITY = 256
+
+#: (description, signature, band keys, rows a live add met): see
+#: ``MinHashCandidateIndex._last``.
+_Slot = tuple[
+    str, "np.ndarray | None", tuple[int, ...], "list[Sequence[int]] | None"
+]
 
 
 class MinHashCandidateIndex(CandidateIndex):
@@ -108,6 +125,13 @@ class MinHashCandidateIndex(CandidateIndex):
             self.banding = LSHBanding.from_threshold(num_perm, threshold)
         self.hasher = MinHasher(num_perm=self.banding.num_perm, seed=seed)
         self.min_similarity = min_similarity
+        width = self.banding.num_perm
+        #: least count of agreeing signature positions that passes the
+        #: floor: ``c / width >= min_similarity`` is the float test
+        #: ``mean`` makes, and it is monotone in ``c``.
+        self._floor_agree = next(
+            c for c in range(width + 1) if c / width >= min_similarity
+        )
         #: live tier: band key -> rows in that bucket, in insertion order.
         self._postings: dict[int, list[int]] = {}
         #: columnar tier: band keys and rows, sorted by (key, row).
@@ -124,25 +148,27 @@ class MinHashCandidateIndex(CandidateIndex):
         self.unindexable = 0
         #: ids of those records.
         self._unsigned: set[str] = set()
-        #: (description, signature, band keys) of the last description
-        #: hashed; keys are empty for a token-less description.
-        self._last: tuple[str, np.ndarray | None, list[int]] | None = None
+        #: (description, signature, band keys, met) of the last
+        #: description hashed; keys are empty for a token-less
+        #: description.  ``met`` is set by a live :meth:`add` of it:
+        #: the row it got, as a one-row tuple, then the live buckets it
+        #: joined that held earlier rows.  Buckets only grow by appends
+        #: and every signed add rewrites the slot, so until then those
+        #: lists hold exactly the rows a bucket walk would find.
+        self._last: _Slot | None = None
 
     def __len__(self) -> int:
         return self._count + self.unindexable
 
-    def _hashed(self, description: str) -> tuple[np.ndarray | None, list[int]]:
-        """Signature and band keys of *description*, reusing the last."""
+    def _hashed(self, description: str) -> _Slot:
+        """The slot of *description*, reusing the last one."""
         last = self._last
         if last is not None and last[0] == description:
-            return last[1], last[2]
+            return last
         signature = self.hasher.signature(blocking_tokens(description))
-        keys = (
-            [] if signature is None
-            else self.banding.band_key_rows(signature[np.newaxis, :])[0]
-        )
-        self._last = (description, signature, keys)
-        return signature, keys
+        keys = () if signature is None else self.banding.band_keys(signature)
+        self._last = (description, signature, keys, None)
+        return self._last
 
     def _check_fresh(
         self, record_id: str, batch: Collection[str] = ()
@@ -158,13 +184,31 @@ class MinHashCandidateIndex(CandidateIndex):
     def add(self, record_id: str, description: str) -> None:
         """Index one record; token-less records get no blocking key."""
         self._check_fresh(record_id)
-        signature, keys = self._hashed(description)
+        _, signature, keys, _ = self._hashed(description)
         if signature is None:
             self._unsigned.add(record_id)
             self.unindexable += 1
             return
-        row = self._append([record_id], signature[np.newaxis, :])
-        add_postings(self._postings, (row,), (keys,))
+        row = self._count
+        self._reserve(row + 1)
+        self._matrix[row] = signature
+        self._row[record_id] = row
+        self._ids.append(record_id)
+        self._count = row + 1
+        # Post the row and keep the buckets it joined in one pass, so
+        # the store's query right after this add looks up no key again.
+        # Their rows are read only by that query: an add no query
+        # follows costs nothing per bucket mate.
+        met: list[Sequence[int]] = [(row,)]
+        postings = self._postings
+        for key in keys:
+            bucket = postings.get(key)
+            if bucket is None:
+                postings[key] = [row]
+            else:
+                bucket.append(row)
+                met.append(bucket)
+        self._last = (description, signature, keys, met)
 
     def add_many(self, items: Iterable[tuple[str, str]]) -> None:
         """Index ``(record_id, description)`` pairs in one bulk pass.
@@ -186,17 +230,21 @@ class MinHashCandidateIndex(CandidateIndex):
         self.unindexable += len(items) - len(signed)
         self._append_segment(signed_ids, matrix)
 
-    def _append(self, ids: Sequence[str], signatures: np.ndarray) -> int:
-        """Store *signatures* as the next rows; returns the first row."""
-        count = self._count
-        needed = count + len(ids)
+    def _reserve(self, needed: int) -> None:
+        """Grow the matrix (at least doubling) to hold *needed* rows."""
         if needed > len(self._matrix):
             grown = np.empty(
                 (max(2 * len(self._matrix), needed), self.banding.num_perm),
                 dtype=np.uint64,
             )
-            grown[:count] = self._matrix[:count]
+            grown[:self._count] = self._matrix[:self._count]
             self._matrix = grown
+
+    def _append(self, ids: Sequence[str], signatures: np.ndarray) -> int:
+        """Store *signatures* as the next rows; returns the first row."""
+        count = self._count
+        needed = count + len(ids)
+        self._reserve(needed)
         self._matrix[count:needed] = signatures
         self._row.update(zip(ids, range(count, needed)))
         self._ids.extend(ids)
@@ -206,7 +254,13 @@ class MinHashCandidateIndex(CandidateIndex):
     def _append_segment(
         self, ids: Sequence[str], signatures: np.ndarray
     ) -> None:
-        """Store *signatures* and post their keys to the columnar tier."""
+        """Store *signatures* and post their keys to the columnar tier.
+
+        The slot forgets what its ``add`` met: :meth:`restore_state`
+        replaces the live tier's buckets before it.
+        """
+        if self._last is not None:
+            self._last = (*self._last[:3], None)
         first = self._append(ids, signatures)
         if len(ids):
             self._segment_keys, self._segment_rows = merge_segment(
@@ -218,9 +272,18 @@ class MinHashCandidateIndex(CandidateIndex):
 
     def _colliding_rows(self, keys: Sequence[int]) -> set[int]:
         """Distinct rows sharing any of the band *keys*, in either tier."""
+        postings = self._postings
+        return self._rows_in([postings.get(key, ()) for key in keys], keys)
+
+    def _rows_in(
+        self, live: Iterable[Sequence[int]], keys: Sequence[int]
+    ) -> set[int]:
+        """Distinct rows in the *live* buckets and, under *keys*, in the
+        columnar tier.
+        """
         found: set[int] = set()
-        for key in keys:
-            found.update(self._postings.get(key, ()))
+        for bucket in live:
+            found.update(bucket)
         if len(self._segment_keys):
             found.update(
                 segment_rows(self._segment_keys, self._segment_rows, keys)
@@ -239,17 +302,27 @@ class MinHashCandidateIndex(CandidateIndex):
     def candidates(
         self, description: str, exclude: str | None = None
     ) -> tuple[str, ...]:
-        """Sorted ids sharing a band bucket (and the similarity floor)."""
-        signature, keys = self._hashed(description)
+        """Sorted ids sharing a band bucket (and the similarity floor).
+
+        Right after a live :meth:`add` of *description*, the live rows
+        are its own and those of the buckets it joined; any other query
+        looks its keys up.
+        """
+        _, signature, keys, met = self._hashed(description)
         if signature is None:
             return ()
-        found = self._colliding_rows(keys)
+        found = (
+            self._colliding_rows(keys) if met is None
+            else self._rows_in(met, keys)
+        )
         if exclude is not None:
             found.discard(self._row.get(exclude))
-        if found and self.min_similarity > 0.0:
+        if found and self._floor_agree:
             rows = np.fromiter(found, dtype=np.intp, count=len(found))
-            keep = self._floor_similarities(signature, rows)
-            found = rows[keep >= self.min_similarity].tolist()
+            # Summing the bools counts the agreeing positions: the count
+            # ``np.count_nonzero(..., axis=1)`` gives, by a faster path.
+            agree = (self._matrix[rows] == signature).sum(axis=1)
+            found = rows[agree >= self._floor_agree].tolist()
         ids = self._ids
         return tuple(sorted([ids[row] for row in found]))
 
@@ -262,7 +335,7 @@ class MinHashCandidateIndex(CandidateIndex):
         record onto the shards owning its band keys covers every pair
         this index would surface.  Token-less records have no keys.
         """
-        return tuple(sorted(set(self._hashed(description)[1])))
+        return tuple(sorted(set(self._hashed(description)[2])))
 
     def snapshot_state(self) -> dict:
         """JSON-ready live state (see :mod:`repro.resolve.snapshot`).

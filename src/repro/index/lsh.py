@@ -125,9 +125,27 @@ class LSHBanding:
         """Signature width this banding consumes."""
         return self.bands * self.rows
 
+    def _mix(self, bands: np.ndarray) -> np.ndarray:
+        """Band keys of ``(..., bands, rows)`` signature values."""
+        return (self._coefficients * bands).sum(
+            axis=-1, dtype=np.uint64
+        ) + self._offsets
+
     def band_keys(self, signature: np.ndarray) -> tuple[int, ...]:
-        """One bucket key per band for *signature* (a one-row matrix)."""
-        return tuple(self.band_key_rows(signature.reshape(1, -1))[0])
+        """One bucket key per band for *signature*.
+
+        The same arithmetic as :meth:`band_key_matrix`, pinned by test,
+        on one signature without the batch's blocks (the live-ingest
+        path).
+        """
+        if signature.size != self.num_perm:
+            raise ValueError(
+                f"signature width {signature.shape} != "
+                f"bands*rows = {self.num_perm}"
+            )
+        return tuple(
+            self._mix(signature.reshape(self.bands, self.rows)).tolist()
+        )
 
     def band_key_rows(self, signatures: np.ndarray) -> list[list[int]]:
         """One list of band keys per row of a ``(n, num_perm)`` matrix."""
@@ -147,10 +165,9 @@ class LSHBanding:
         keys = np.empty((len(signatures), self.bands), dtype=np.uint64)
         for low in range(0, len(signatures), _BLOCK_ROWS):
             block = signatures[low:low + _BLOCK_ROWS]
-            keys[low:low + len(block)] = (
-                self._coefficients
-                * block.reshape(len(block), self.bands, self.rows)
-            ).sum(axis=2, dtype=np.uint64) + self._offsets
+            keys[low:low + len(block)] = self._mix(
+                block.reshape(len(block), self.bands, self.rows)
+            )
         return keys
 
 

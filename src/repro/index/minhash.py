@@ -67,15 +67,30 @@ class MinHasher:
             self._token_hashes[token] = cached
         return cached
 
+    def _product(self, column: np.ndarray) -> np.ndarray:
+        """The ``(columns, num_perm)`` hashes of a token-hash *column*."""
+        product = column[:, np.newaxis] * self._a.T
+        product += self._b.T
+        return product
+
     def signature(self, tokens: Iterable[str]) -> np.ndarray | None:
         """MinHash signature of the distinct *tokens*, or None if empty.
 
         The result is a ``(num_perm,)`` uint64 array; token order (and
-        multiplicity) never affects it.  The one-row case of
-        :meth:`signatures`.
+        multiplicity) never affects it.  The same arithmetic as
+        :meth:`signatures`, pinned by test: one product and one column
+        minimum, without the batch's blocks and set boundaries (this is
+        the live-ingest path, one record at a time).
         """
-        matrix, signed = self.signatures([tokens])
-        return matrix[0] if signed else None
+        distinct = set(tokens)
+        if not distinct:
+            return None
+        column = np.fromiter(
+            (self._token_hash(t) for t in distinct),
+            dtype=np.uint64,
+            count=len(distinct),
+        )
+        return self._product(column).min(axis=0)
 
     def signatures(
         self, token_lists: Iterable[Iterable[str]]
@@ -106,7 +121,6 @@ class MinHasher:
                 starts.append(len(hashes))
                 hashes.extend(self._token_hash(t) for t in distinct)
         column = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
-        a_row, b_row = self._a.T, self._b.T
         blocks: list[np.ndarray] = []
         first = 0
         for low in range(0, len(hashes), _BLOCK_COLUMNS):
@@ -117,9 +131,9 @@ class MinHasher:
             cuts = [start - low for start in starts[first:last]]
             carried = cuts[0] < 0
             cuts[0] = 0
-            product = column[low:high, np.newaxis] * a_row
-            product += b_row
-            minima = np.minimum.reduceat(product, cuts, axis=0)
+            minima = np.minimum.reduceat(
+                self._product(column[low:high]), cuts, axis=0
+            )
             if carried:
                 np.minimum(minima[0], blocks[-1][-1], out=minima[0])
                 blocks[-1] = blocks[-1][:-1]

@@ -13,6 +13,18 @@ properties pin that pass to the per-record path it replaces:
   after ``add_many``, two ``add_many`` calls, ``restore_state`` then
   live adds) answers exactly like one fed record by record;
 * a batch with a duplicate id raises before any state changes.
+
+Live ingest signs and mixes one record without the batch machinery,
+floors by an agreement count, and answers the query right after ``add``
+from the buckets ``add`` walked; more properties pin those:
+
+* the one-row signature and band keys equal the batch row and the
+  per-record transcription, bit for bit;
+* the agreement-count floor keeps exactly the counts the float
+  ``mean >= min_similarity`` test keeps;
+* queries interleaved with live adds, bulk calls, restores, token-less
+  adds and probes answer like a fresh index and like brute force over
+  band overlap.
 """
 
 import json
@@ -22,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util import derive_rng
+from repro.blocking.token import blocking_tokens
 from repro.index import LSHBanding, MinHashCandidateIndex, MinHasher
 
 VOCAB = [f"w{i:03d}" for i in range(240)]
@@ -157,6 +170,54 @@ class TestSigningAndBanding:
             reference = reference_band_keys(banding, matrix[row])
             assert tuple(key_rows[row]) == reference
             assert banding.band_keys(matrix[row]) == reference
+
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(VOCAB[:6]), max_size=12),
+            st.sampled_from(VOCAB).map(lambda token: [token]),
+            st.integers(4090, 4200).map(lambda n: [f"x{j}" for j in range(n)]),
+        ),
+        st.sampled_from([(32, 3), (16, 4), (1, 7)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_forms_equal_the_batch_row(self, tokens, shape):
+        bands, rows = shape
+        hasher = MinHasher(num_perm=bands * rows, seed=5)
+        banding = LSHBanding(bands, rows, seed=5)
+        signature = hasher.signature(tokens)
+        matrix, signed = hasher.signatures([tokens])
+        expected = reference_signature(hasher, tokens)
+        if expected is None:
+            assert signature is None and signed == []
+            return
+        assert signature.dtype == np.uint64
+        assert signature.shape == (bands * rows,)
+        np.testing.assert_array_equal(signature, expected)
+        np.testing.assert_array_equal(signature, matrix[0])
+        keys = banding.band_keys(signature)
+        matrix_keys = banding.band_key_matrix(signature[None])[0]
+        assert list(keys) == matrix_keys.tolist()
+        assert keys == reference_band_keys(banding, expected)
+
+
+class TestFloorCount:
+    @pytest.mark.parametrize("shape", [(32, 3), (16, 4), (1, 7), (7, 1)])
+    def test_agreement_count_keeps_what_the_mean_keeps(self, shape):
+        bands, rows = shape
+        num_perm = bands * rows
+        floors = [0.0, 0.35, 1 / 3, 0.5, 1.0]
+        floors += [k / num_perm for k in range(num_perm + 1)]
+        for min_similarity in floors:
+            index = MinHashCandidateIndex(
+                bands=bands, rows=rows, min_similarity=min_similarity
+            )
+            for count in range(num_perm + 1):
+                agree = np.zeros(num_perm, dtype=bool)
+                agree[:count] = True
+                assert (count >= index._floor_agree) == (
+                    agree.mean() >= min_similarity
+                ) == (count / num_perm >= min_similarity)
 
 
 class TestBlockEdges:
@@ -302,3 +363,125 @@ class TestDuplicateIds:
         assert _state(index) == before
         assert len(index) == 2
         assert index.candidates("acme widget", exclude="seen") == ()
+
+
+def reference_candidates(hasher, banding, indexed, description, exclude,
+                         min_similarity):
+    """Brute force: ids that share a band key and pass the float floor.
+
+    *indexed* lists the (id, description) pairs in the index.
+    """
+    signature = reference_signature(hasher, blocking_tokens(description))
+    if signature is None:
+        return ()
+    keys = set(reference_band_keys(banding, signature))
+    found = []
+    for record_id, other in indexed:
+        other_signature = reference_signature(hasher, blocking_tokens(other))
+        if (
+            record_id != exclude
+            and other_signature is not None
+            and keys & set(reference_band_keys(banding, other_signature))
+            and (other_signature == signature).mean() >= min_similarity
+        ):
+            found.append(record_id)
+    return tuple(sorted(found))
+
+
+#: what happens between a live ``add`` and the query for its description.
+BETWEEN = (
+    None, "readd", "token-less", "same-keys", "other-keys", "probe",
+    "add_many", "restore",
+)
+
+
+@st.composite
+def live_mixes(draw):
+    """A bulk prefix, then (between, exclude) steps around live adds."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    bulk = draw(st.sampled_from(["add", "add_many", "restore"]))
+    prefix_size = draw(st.sampled_from([0, 1, 57, 257]))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(BETWEEN),
+                st.sampled_from(["own", "other", None]),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    return seed, bulk, prefix_size, steps
+
+
+class TestLiveQueries:
+    """Queries interleaved with ``add`` answer like a fresh index."""
+
+    @given(live_mixes(), st.sampled_from([0.0, 0.35, 1 / 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_answers_equal_a_fresh_index_and_brute_force(
+        self, mix, min_similarity
+    ):
+        seed, bulk, prefix_size, steps = mix
+        rng = derive_rng(seed, "index-live-test")
+        earlier: list[str] = []
+
+        def fresh_records(count):
+            return _records(rng, count, len(earlier), earlier)
+
+        index = _index(min_similarity)
+        indexed = fresh_records(prefix_size)
+        if bulk == "add_many":
+            index.add_many(indexed)
+        elif bulk == "restore":
+            source = _index(min_similarity)
+            source.add_many(indexed)
+            index.restore_state(source.snapshot_state())
+        else:
+            for record_id, description in indexed:
+                index.add(record_id, description)
+
+        for between, exclude in steps:
+            (record_id, description), = fresh_records(1)
+            saved = (index.snapshot_state(), list(indexed))
+            index.add(record_id, description)
+            indexed.append((record_id, description))
+            if between == "readd":
+                record_id = f"{record_id}-again"
+                index.add(record_id, description)
+                indexed.append((record_id, description))
+            elif between == "token-less":
+                blank = (f"{record_id}-blank", TOKEN_LESS[1])
+                index.add(*blank)
+                indexed.append(blank)
+            elif between == "same-keys":
+                index.blocking_keys(description)
+            elif between == "other-keys":
+                index.blocking_keys(f"{description} zz-other")
+            elif between == "probe":
+                index.candidates(f"{description} zz-probe")
+            elif between == "add_many":
+                batch = fresh_records(3)
+                index.add_many(batch)
+                indexed.extend(batch)
+            elif between == "restore":
+                snapshot, indexed = saved
+                index.restore_state(snapshot)
+            if exclude == "own":
+                exclude = record_id
+            elif exclude == "other":
+                exclude = indexed[int(rng.integers(len(indexed)))][0]
+
+            found = index.candidates(description, exclude=exclude)
+            fresh = _index(min_similarity)
+            for other_id, other in indexed:
+                fresh.add(other_id, other)
+            fresh.candidates("zz unrelated probe")
+            assert found == fresh.candidates(description, exclude=exclude)
+            assert found == reference_candidates(
+                index.hasher, index.banding, indexed, description,
+                exclude, min_similarity,
+            )
+            assert index.blocking_keys(description) == (
+                fresh.blocking_keys(description)
+            )

@@ -112,16 +112,21 @@ class TestPredicate:
 
 
 class _CountingHasher:
-    """Counts calls through ``MinHasher.signatures``, the one signing path."""
+    """Counts calls through ``MinHasher.signature``, the one-record path.
+
+    ``add``, ``candidates`` and ``blocking_keys`` sign one description
+    at a time; only ``add_many`` and ``restore_state`` go through the
+    batch ``signatures``, and these tests call neither.
+    """
 
     def __init__(self, index):
         self.calls = 0
-        self._signatures = index.hasher.signatures
-        index.hasher.signatures = self
+        self._signature = index.hasher.signature
+        index.hasher.signature = self
 
-    def __call__(self, token_lists):
+    def __call__(self, tokens):
         self.calls += 1
-        return self._signatures(token_lists)
+        return self._signature(tokens)
 
 
 class TestSignatureReuse:

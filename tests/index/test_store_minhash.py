@@ -147,20 +147,40 @@ class TestParityWithExhaustiveResolution:
 
 
 class TestBandKeysPerIngest:
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        """Count the calls through ``owner.name``; returns the tally."""
+        calls = []
+        method = getattr(owner, name)
+
+        def counting(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
     def test_stream_ingest_mixes_one_band_key_row_per_record(
         self, monkeypatch
     ):
-        """``add`` and the store's query right after share one key row."""
+        """``add`` and the store's query after it hash and mix once."""
         from repro.index.lsh import LSHBanding
+        from repro.index.minhash import MinHasher
 
-        rows = []
-        mix = LSHBanding.band_key_rows
-
-        def counting(self, signatures):
-            rows.append(len(signatures))
-            return mix(self, signatures)
-
-        monkeypatch.setattr(LSHBanding, "band_key_rows", counting)
+        signed = self._count(monkeypatch, MinHasher, "signature")
+        mixed = self._count(monkeypatch, LSHBanding, "band_keys")
         records = _records(100)
         _store(short_circuit=True).ingest_all(records)
-        assert sum(rows) / len(records) == 1.0
+        assert len(signed) / len(records) == 1.0
+        assert len(mixed) / len(records) == 1.0
+
+    def test_stream_ingest_looks_up_no_key_to_answer_its_query(
+        self, monkeypatch
+    ):
+        """The store's query after ``add`` unions the buckets it joined."""
+        walks = self._count(
+            monkeypatch, MinHashCandidateIndex, "_colliding_rows"
+        )
+        results = _store(short_circuit=True).ingest_all(_records(100))
+        assert sum(result.candidates for result in results) > 0
+        assert walks == []
