@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Iterable
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -19,10 +19,13 @@ __all__ = [
     "stable_unit_floats",
     "derive_rng",
     "derive_seed",
+    "pick",
     "tokenize_simple",
     "extract_numbers",
     "clamp",
 ]
+
+_T = TypeVar("_T")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:[./-][a-z0-9]+)*")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
@@ -57,6 +60,20 @@ def derive_rng(base_seed: int, *parts: object) -> np.random.Generator:
     that adds a new consumer does not perturb existing ones.
     """
     return np.random.default_rng(derive_seed(base_seed, *parts))
+
+
+def pick(rng: np.random.Generator, options: Sequence[_T]) -> _T:
+    """Return one element of *options*, drawn as ``rng.choice(options)`` draws it.
+
+    ``Generator.choice`` without ``p`` or ``size`` makes one
+    ``integers(0, len(options))`` draw and indexes with it, so this gives
+    the same element and leaves *rng* in the same state, without first
+    turning the sequence into a numpy array (the bulk of ``choice``'s cost
+    on a short list).  The element comes back as it is in *options*, not as
+    a numpy scalar.  Empty *options* raise ``ValueError``, as ``choice``
+    does.
+    """
+    return options[int(rng.integers(0, len(options)))]
 
 
 def tokenize_simple(text: str) -> list[str]:

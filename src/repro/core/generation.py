@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import derive_rng
+from repro._util import derive_rng, pick
 from repro.datasets.build import HardnessProfile, build_split
 from repro.datasets.catalog import ProductCatalog, SoftwareCatalog, PRODUCT_CATEGORIES
 from repro.datasets.products import _mixed_renderer
@@ -105,7 +105,7 @@ def _generate_for_seed(
     rng = derive_rng(seed_value, "generate", generator, method, seed.pair_id)
     category = _seed_category(seed)
     if category is None or rng.random() < profile.category_drift:
-        category = str(rng.choice(list(PRODUCT_CATEGORIES) + ["software"]))
+        category = pick(rng, [*PRODUCT_CATEGORIES, "software"])
 
     if category == "software":
         catalog = SoftwareCatalog(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import derive_rng
+from repro._util import derive_rng, pick
 
 __all__ = [
     "ProductEntity",
@@ -245,13 +245,13 @@ class ProductCatalog:
         idx = self._counter
         self._counter += 1
         rng = self._rng(idx)
-        category = str(rng.choice(self._categories))
+        category = pick(rng, self._categories)
         spec_pool = PRODUCT_CATEGORIES[category]
-        brand = str(rng.choice(PRODUCT_BRANDS))
-        line = str(rng.choice(spec_pool["lines"]))
+        brand = pick(rng, PRODUCT_BRANDS)
+        line = pick(rng, spec_pool["lines"])
         model_code = self._model_code(rng)
-        product_type = str(rng.choice(spec_pool["types"]))
-        spec = str(rng.choice(spec_pool["specs"]))
+        product_type = pick(rng, spec_pool["types"])
+        spec = pick(rng, spec_pool["specs"])
         sku = self._sku(rng)
         return ProductEntity(
             entity_id=f"prod-{self._seed}-{idx}",
@@ -277,7 +277,7 @@ class ProductCatalog:
         if rng.random() < 0.5:
             others = [s for s in spec_pool["specs"] if s != entity.spec]
             if others:
-                spec = str(rng.choice(others))
+                spec = pick(rng, others)
         return ProductEntity(
             entity_id=f"{entity.entity_id}-sib{variant}",
             brand=entity.brand,
@@ -305,7 +305,7 @@ class ProductCatalog:
         """Return a different but similar-looking model code."""
         digits = [c for c in code if c.isdigit()]
         if digits:
-            pos = code.index(digits[int(rng.integers(0, len(digits)))])
+            pos = code.index(pick(rng, digits))
             old = code[pos]
             new = str((int(old) + 1 + int(rng.integers(0, 8))) % 10)
             if new == old:
@@ -336,11 +336,11 @@ class SoftwareCatalog:
         rng = self._rng(idx)
         return SoftwareEntity(
             entity_id=f"soft-{self._seed}-{idx}",
-            vendor=str(rng.choice(SOFTWARE_VENDORS)),
-            product=str(rng.choice(SOFTWARE_PRODUCTS)),
-            edition=str(rng.choice(SOFTWARE_EDITIONS)),
-            version=str(rng.choice(SOFTWARE_VERSIONS)),
-            platform=str(rng.choice(SOFTWARE_PLATFORMS)),
+            vendor=pick(rng, SOFTWARE_VENDORS),
+            product=pick(rng, SOFTWARE_PRODUCTS),
+            edition=pick(rng, SOFTWARE_EDITIONS),
+            version=pick(rng, SOFTWARE_VERSIONS),
+            platform=pick(rng, SOFTWARE_PLATFORMS),
             sku=str(int(rng.integers(10000, 99999))),
         )
 
@@ -351,10 +351,10 @@ class SoftwareCatalog:
         edition = entity.edition
         if rng.random() < 0.7:
             others = [v for v in SOFTWARE_VERSIONS if v != entity.version]
-            version = str(rng.choice(others))
+            version = pick(rng, others)
         else:
             others = [e for e in SOFTWARE_EDITIONS if e != entity.edition]
-            edition = str(rng.choice(others))
+            edition = pick(rng, others)
         return SoftwareEntity(
             entity_id=f"{entity.entity_id}-sib{variant}",
             vendor=entity.vendor,
@@ -382,11 +382,11 @@ class PaperCatalog:
         rng = self._rng(idx)
         n_authors = int(rng.integers(1, 5))
         authors = tuple(
-            f"{rng.choice(FIRST_NAMES)} {rng.choice(LAST_NAMES)}"
+            f"{pick(rng, FIRST_NAMES)} {pick(rng, LAST_NAMES)}"
             for _ in range(n_authors)
         )
         title = self._title(rng)
-        abbrev, full = VENUES[int(rng.integers(0, len(VENUES)))]
+        abbrev, full = pick(rng, VENUES)
         return PaperEntity(
             entity_id=f"paper-{self._seed}-{idx}",
             authors=authors,
@@ -406,7 +406,7 @@ class PaperCatalog:
         title = self._title(rng)
         keep = max(1, len(entity.authors) - 1)
         authors = entity.authors[:keep] + (
-            f"{rng.choice(FIRST_NAMES)} {rng.choice(LAST_NAMES)}",
+            f"{pick(rng, FIRST_NAMES)} {pick(rng, LAST_NAMES)}",
         )
         year = entity.year + int(rng.integers(-2, 3))
         return PaperEntity(
@@ -420,9 +420,9 @@ class PaperCatalog:
 
     @staticmethod
     def _title(rng: np.random.Generator) -> str:
-        prefix = str(rng.choice(TITLE_PREFIXES))
-        topic = str(rng.choice(TITLE_TOPICS))
+        prefix = pick(rng, TITLE_PREFIXES)
+        topic = pick(rng, TITLE_TOPICS)
         if rng.random() < 0.6:
-            suffix = str(rng.choice(TITLE_SUFFIXES))
+            suffix = pick(rng, TITLE_SUFFIXES)
             return f"{prefix} {topic} {suffix}"
         return f"{prefix} {topic}"

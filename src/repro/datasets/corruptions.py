@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._util import pick
 from repro.datasets.catalog import PaperEntity, ProductEntity, SoftwareEntity
 
 __all__ = [
@@ -76,7 +77,7 @@ def _maybe_typo(text: str, rng: np.random.Generator, prob: float) -> str:
     for word in words:
         # Identifying tokens (model codes, versions) rarely carry typos in
         # real listings; corrupting them would destroy the match signal.
-        effective = prob * 0.25 if any(c.isdigit() for c in word) else prob
+        effective = prob * 0.25 if any(map(str.isdigit, word)) else prob
         if rng.random() < effective:
             out.append(typo(word, rng))
         else:
@@ -128,7 +129,7 @@ def render_product(
     if include_sku:
         parts.append(f"({entity.sku})")
     if rng.random() < 0.3 * noise:
-        parts.append(str(rng.choice(_NOISE_WORDS)))
+        parts.append(pick(rng, _NOISE_WORDS))
     if rng.random() < 0.4:  # some shops reorder type/spec before the line
         head, tail = parts[:1], parts[1:]
         rng.shuffle(tail)
@@ -158,8 +159,8 @@ def render_software(
     """
     vendor = entity.vendor
     product = entity.product
-    edition = str(rng.choice(_EDITION_ALIASES[entity.edition]))
-    platform = str(rng.choice(_PLATFORM_ALIASES[entity.platform]))
+    edition = pick(rng, _EDITION_ALIASES[entity.edition])
+    platform = pick(rng, _PLATFORM_ALIASES[entity.platform])
     version = entity.version
 
     include_platform = rng.random() < 0.55
@@ -214,7 +215,7 @@ def render_paper(
     author lists, abbreviates venues inconsistently and drops years — the
     ``noise`` level expresses that difference.
     """
-    style = str(rng.choice(["full", "initial", "last-first"]))
+    style = pick(rng, ("full", "initial", "last-first"))
     authors = [_format_author(a, style) for a in entity.authors]
     if len(authors) > 2 and rng.random() < 0.4 * noise:
         authors = authors[:2] + ["et al"]

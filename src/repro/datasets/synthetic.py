@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro._util import derive_rng
+from repro._util import derive_rng, pick
 from repro.datasets.corruptions import typo
 from repro.datasets.schema import Record
 
@@ -83,14 +83,8 @@ class SyntheticCorpus:
 
 
 def _canonical_tokens(rng: np.random.Generator) -> list[str]:
-    brand = (
-        _BRAND_PARTS[0][int(rng.integers(len(_BRAND_PARTS[0])))]
-        + _BRAND_PARTS[1][int(rng.integers(len(_BRAND_PARTS[1])))]
-    )
-    line = (
-        _LINE_PARTS[0][int(rng.integers(len(_LINE_PARTS[0])))]
-        + _LINE_PARTS[1][int(rng.integers(len(_LINE_PARTS[1])))]
-    )
+    brand = pick(rng, _BRAND_PARTS[0]) + pick(rng, _BRAND_PARTS[1])
+    line = pick(rng, _LINE_PARTS[0]) + pick(rng, _LINE_PARTS[1])
     code_letters = "".join(
         chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=2)
     )
@@ -99,12 +93,12 @@ def _canonical_tokens(rng: np.random.Generator) -> list[str]:
         brand,
         line,
         model,
-        _CATEGORIES[int(rng.integers(len(_CATEGORIES)))],
-        _CAPACITIES[int(rng.integers(len(_CAPACITIES)))],
-        _COLORS[int(rng.integers(len(_COLORS)))],
+        pick(rng, _CATEGORIES),
+        pick(rng, _CAPACITIES),
+        pick(rng, _COLORS),
     ]
     if rng.random() < 0.6:
-        tokens.append(_EDITIONS[int(rng.integers(len(_EDITIONS)))])
+        tokens.append(pick(rng, _EDITIONS))
     return tokens
 
 

@@ -469,8 +469,11 @@ class TestLiveQueries:
                 index.restore_state(snapshot)
             if exclude == "own":
                 exclude = record_id
-            elif exclude == "other":
+            elif exclude == "other" and indexed:
                 exclude = indexed[int(rng.integers(len(indexed)))][0]
+            elif exclude == "other":
+                # A restore to an empty prefix leaves no other id.
+                exclude = None
 
             found = index.candidates(description, exclude=exclude)
             fresh = _index(min_similarity)

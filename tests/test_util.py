@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util import (
     clamp,
@@ -9,6 +10,7 @@ from repro._util import (
     derive_rng,
     derive_seed,
     extract_numbers,
+    pick,
     stable_hash,
     stable_unit_floats,
     tokenize_simple,
@@ -43,6 +45,42 @@ class TestDeriveRng:
 
     def test_derive_seed_is_31_bit(self):
         assert 0 <= derive_seed(1, "z") < 2**31
+
+
+# numpy's fixed-width strings drop trailing NULs, so ``choice`` would
+# return "a" for "a\x00"; ``pick`` returns the element as it is.  The
+# generators draw from vocabularies of plain words, so NUL is left out.
+_WORDS = st.text(st.characters(blacklist_characters="\x00"), max_size=12)
+_INTS = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestPick:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        options=st.one_of(
+            st.lists(_WORDS, min_size=1, max_size=500),
+            st.lists(_INTS, min_size=1, max_size=500),
+        ),
+        as_tuple=st.booleans(),
+    )
+    def test_draws_what_choice_draws(self, seed, options, as_tuple):
+        if as_tuple:
+            options = tuple(options)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        picked = pick(ours, options)
+        chosen = theirs.choice(options)
+        assert picked == chosen
+        assert type(picked) is type(options[0])
+        # The generator is left where choice leaves it.
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_options_raise_like_choice(self, empty):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(empty)
+        with pytest.raises(ValueError):
+            pick(np.random.default_rng(0), empty)
 
 
 class TestStableUnitFloats:
