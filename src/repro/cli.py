@@ -274,22 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal path for the kill/resume round-trip "
         "(default: a temporary file)",
     )
-    chaos.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="also run a sharded kill/resume round-trip over N "
-        "journal-backed shards (requires --kill-every; 0 = skip)",
-    )
-    chaos.add_argument(
-        "--kill-shard", action="append", type=int, dest="kill_shards",
-        metavar="I",
-        help="shard to kill and resume mid-run (repeatable; default: a "
-        "deterministic pair of shards)",
-    )
-    chaos.add_argument(
-        "--shard-dir", default=None, metavar="DIR",
-        help="directory for the sharded round-trip's journals "
-        "(default: a temporary directory)",
-    )
     chaos.add_argument("--format", choices=("text", "json"), default="text")
 
     serve = sub.add_parser(
@@ -827,17 +811,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
     from pathlib import Path
 
-    from repro.faults import (
-        kill_resume_roundtrip,
-        sharded_kill_resume_roundtrip,
-        sweep,
-    )
+    from repro.faults import kill_resume_roundtrip, sweep
 
     if not 0.0 <= args.fault_rate <= 1.0:
         print("--fault-rate must be in [0, 1]")
-        return 2
-    if args.shards > 0 and args.kill_every <= 0:
-        print("--shards needs --kill-every (the per-shard crash cadence)")
         return 2
     seeds = tuple(args.seeds) if args.seeds else (0, 1, 2)
     rates = (0.0,) if args.fault_rate == 0.0 else (0.0, args.fault_rate)
@@ -881,39 +858,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         }
         payload["ok"] = bool(payload["ok"]) and roundtrip["identical"]
 
-    if args.shards > 0:
-        def sharded_run(seed: int, base: "str | Path") -> dict:
-            run = sharded_kill_resume_roundtrip(
-                Path(base) / f"seed-{seed}",
-                seed=seed,
-                record_count=args.records,
-                shards=args.shards,
-                kill_every=args.kill_every,
-                kill_shards=tuple(args.kill_shards or ()),
-            )
-            return {
-                "seed": run["seed"],
-                "shards": run["shards"],
-                "kill_every": run["kill_every"],
-                "targets": run["targets"],
-                "kills": run["kills"],
-                "crashes": run["crashes"],
-                "clean_kills": run["clean_kills"],
-                "violations": run["violations"],
-                "identical": run["identical"],
-                "clusters": len(run["resumed"]["clusters"]),
-            }
-
-        if args.shard_dir:
-            sharded = [sharded_run(seed, args.shard_dir) for seed in seeds]
-        else:
-            with tempfile.TemporaryDirectory() as tmp:
-                sharded = [sharded_run(seed, tmp) for seed in seeds]
-        payload["sharded_kill_resume"] = sharded
-        payload["ok"] = bool(payload["ok"]) and all(
-            run["identical"] for run in sharded
-        )
-
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if payload["ok"] else 1
@@ -947,18 +891,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"records -> {state} "
             f"({verdict['clusters']} clusters, {verdict['decisions']} decisions)"
         )
-    if args.shards > 0:
-        for run in payload["sharded_kill_resume"]:
-            state = "byte-identical" if run["identical"] else "DIVERGED"
-            print(
-                f"sharded kill/resume [seed={run['seed']}]: "
-                f"{run['shards']} shards, {len(run['kills'])} kills on "
-                f"shards {run['targets']} ({run['crashes']} mid-ingest, "
-                f"{run['clean_kills']} clean) -> {state} "
-                f"({run['clusters']} clusters)"
-            )
-            for violation in run["violations"]:
-                print(f"VIOLATION [sharded seed={run['seed']}]: {violation}")
     return 0 if payload["ok"] else 1
 
 

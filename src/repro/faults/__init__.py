@@ -30,8 +30,6 @@ from repro.faults.harness import (
     chaos_resolve,
     kill_resume_roundtrip,
     resolution_snapshot,
-    sharded_conservation_violations,
-    sharded_kill_resume_roundtrip,
     sweep,
     synthetic_pairs,
     synthetic_records,
@@ -71,8 +69,6 @@ __all__ = [
     "read_journal",
     "repair",
     "resolution_snapshot",
-    "sharded_conservation_violations",
-    "sharded_kill_resume_roundtrip",
     "sweep",
     "synthetic_pairs",
     "synthetic_records",

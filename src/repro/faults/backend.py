@@ -178,26 +178,6 @@ class CrashingBackend:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def arm_in(self, batches: int) -> None:
-        """Schedule the crash *batches* completed batches from now (min 1).
-
-        Chaos schedules re-arm a live backend mid-run; the arithmetic
-        against the running ``calls`` counter has to happen under the
-        same lock ``generate`` increments it under.
-        """
-        with self._lock:
-            self.kill_after = self.calls + max(batches, 1) - 1
-
-    def disarm(self) -> None:
-        """Cancel any scheduled crash."""
-        with self._lock:
-            self.kill_after = None
-
-    def tripped(self) -> bool:
-        """True once the scheduled crash point has been reached."""
-        with self._lock:
-            return self.kill_after is not None and self.calls >= self.kill_after
-
     # The whole point of this double is to violate the Backend boundary
     # contract: a simulated process death must NOT surface as a
     # BackendError the retry/fallback machinery could absorb.

@@ -56,8 +56,6 @@ __all__ = [
     "chaos_resolve",
     "kill_resume_roundtrip",
     "resolution_snapshot",
-    "sharded_conservation_violations",
-    "sharded_kill_resume_roundtrip",
     "sweep",
     "synthetic_pairs",
     "synthetic_records",
@@ -537,203 +535,6 @@ def kill_resume_roundtrip(
         "kill_every": kill_every,
         "crashes": crashes,
         "identical": resumed == reference,
-        "reference": reference,
-        "resumed": resumed,
-    }
-
-
-def _sharded_engine(seed: int) -> MatchingEngine:
-    """One shard's engine: a (disarmed) crashing backend over parity."""
-    return MatchingEngine(
-        backend=CrashingBackend(ParityBackend(), kill_after=None),
-        retry=RetryPolicy(timeout=_TIMEOUT_BUDGET, seed=seed),
-    )
-
-
-def _crashed_target(
-    armed: "dict[int, int]", backends: "list[CrashingBackend]"
-) -> int:
-    """Which armed shard's backend just raised its SimulatedCrash."""
-    for target in sorted(armed):
-        if backends[target].tripped():
-            return target
-    raise RuntimeError(  # pragma: no cover — only armed backends crash
-        "SimulatedCrash from a shard that was never armed"
-    )
-
-
-def sharded_conservation_violations(store: "ShardedResolutionStore") -> list:
-    """Cross-shard conservation invariants of a sharded store.
-
-    * per shard, the engine-call counter equals its decision count (the
-      journaled/recovered counters never drift from the log);
-    * replicated pairs decided by more than one shard agree exactly
-      (determinism — disagreement would make the clustering depend on
-      which shard's copy dedup keeps);
-    * every record lives on every live shard that owns it.
-    """
-    violations: list[str] = []
-    per_pair: dict = {}
-    for i, shard in enumerate(store._shards):
-        if shard is None:
-            violations.append(f"shard {i} still dead at verdict time")
-            continue
-        decisions = shard.decisions()
-        if shard.engine_calls != len(decisions):
-            violations.append(
-                f"shard {i}: engine_calls {shard.engine_calls} != "
-                f"{len(decisions)} recorded decisions"
-            )
-        for decision in decisions:
-            prior = per_pair.setdefault(decision.key, (i, decision))
-            if prior[1].match != decision.match:
-                violations.append(
-                    f"replica disagreement on {decision.key}: shard "
-                    f"{prior[0]} says {prior[1].match}, shard {i} says "
-                    f"{decision.match}"
-                )
-    for record in store._known_records().values():
-        for owner in store.owners_of(record):
-            shard = store._shards[owner]
-            if shard is not None and record.record_id not in shard:
-                violations.append(
-                    f"record {record.record_id!r} missing from owner "
-                    f"shard {owner}"
-                )
-    return violations
-
-
-def sharded_kill_resume_roundtrip(
-    directory: "str | Path",
-    seed: int = 0,
-    record_count: int = 40,
-    shards: int = 4,
-    kill_every: int = 3,
-    kill_shards: Sequence[int] = (),
-    dead_for: int = 6,
-) -> dict:
-    """Kill and resume individual shards mid-ingest; prove nothing changed.
-
-    The reference is an *unsharded*, uninterrupted ingestion of the same
-    seeded workload.  The chaos run partitions it over *shards*
-    journal-backed shards and, per scheduled target, arms that shard's
-    crashing backend so it dies ``kill_every`` batches later **mid-
-    ingest** — torn journal state and all — while every other shard
-    keeps ingesting (records owned by the dead shard wait in its
-    backlog).  ``dead_for`` records later the shard recovers from its
-    journal and catches up.  A target that gets no engine traffic while
-    armed is killed at the next record boundary instead (the crash
-    window needs a backend batch to fire).
-
-    Returns reference/resumed snapshots plus crash accounting;
-    ``identical`` asserts byte-identical clustering *and* golden records
-    (decision logs may legitimately differ — short-circuiting happens at
-    different moments — which is why the verdict is over the clustering,
-    the thing the paper's pipeline actually consumes).
-    """
-    from repro.resolve.sharded import ShardedResolutionStore
-
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    if kill_every < 1:
-        raise ValueError("kill_every must be at least 1")
-    targets = list(kill_shards)
-    if not targets:
-        targets = sorted({0, 1 % shards, 2 % shards})[:2]
-    if any(not 0 <= t < shards for t in targets):
-        raise ValueError(f"kill shard out of range 0..{shards - 1}")
-    records = synthetic_records(record_count, seed=seed)
-
-    with ResolutionStore(
-        MatchingEngine(
-            backend=ParityBackend(),
-            retry=RetryPolicy(timeout=_TIMEOUT_BUDGET, seed=seed),
-        )
-    ) as reference_store:
-        reference_store.ingest_all(records)
-        reference = resolution_snapshot(reference_store)
-
-    engines = [_sharded_engine(seed) for _ in range(shards)]
-    backends: "list[CrashingBackend]" = [
-        engine.backend for engine in engines  # type: ignore[misc]
-    ]
-    #: kill schedule: arm target k when record k's slice of the run starts.
-    arm_at = {
-        (k + 1) * record_count // (len(targets) + 1): target
-        for k, target in enumerate(targets)
-    }
-    grace = max(2, kill_every + 1)
-    armed: dict[int, int] = {}
-    resume_at: dict[int, int] = {}
-    crashes = 0
-    clean_kills = 0
-    kills: list[dict] = []
-
-    store = ShardedResolutionStore(engines, directory, shards=shards)
-    try:
-        for i, record in enumerate(records):
-            target = arm_at.get(i)
-            if target is not None and store._shards[target] is not None:
-                backends[target].arm_in(kill_every)
-                armed[target] = i
-            for shard, due in sorted(resume_at.items()):
-                if i >= due:
-                    engines[shard] = _sharded_engine(seed)
-                    backends[shard] = engines[shard].backend  # type: ignore[assignment]
-                    store.resume_shard(shard, engines[shard])
-                    del resume_at[shard]
-            for shard, since in sorted(armed.items()):
-                if i - since >= grace:
-                    # No backend traffic reached the armed shard: kill it
-                    # at the record boundary instead.
-                    backends[shard].disarm()
-                    store.kill_shard(shard)
-                    clean_kills += 1
-                    kills.append(
-                        {"shard": shard, "record": i, "mid_ingest": False}
-                    )
-                    resume_at[shard] = i + dead_for
-                    del armed[shard]
-            while True:
-                try:
-                    store.ingest(record)
-                    break
-                except SimulatedCrash:
-                    crashes += 1
-                    shard = _crashed_target(armed, backends)
-                    backends[shard].disarm()
-                    store.kill_shard(shard)
-                    kills.append(
-                        {"shard": shard, "record": i, "mid_ingest": True}
-                    )
-                    resume_at[shard] = i + dead_for
-                    del armed[shard]
-        for shard in sorted(set(resume_at) | set(armed)):
-            if store._shards[shard] is None:
-                engines[shard] = _sharded_engine(seed)
-                store.resume_shard(shard, engines[shard])
-            else:
-                backends[shard].disarm()
-        violations = sharded_conservation_violations(store)
-        resumed = resolution_snapshot(store)
-    finally:
-        store.close()
-
-    identical = (
-        resumed["clusters"] == reference["clusters"]
-        and resumed["golden"] == reference["golden"]
-    )
-    return {
-        "seed": seed,
-        "records": record_count,
-        "shards": shards,
-        "kill_every": kill_every,
-        "targets": targets,
-        "kills": kills,
-        "crashes": crashes,
-        "clean_kills": clean_kills,
-        "violations": violations,
-        "identical": identical and not violations,
         "reference": reference,
         "resumed": resumed,
     }

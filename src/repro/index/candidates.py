@@ -326,17 +326,6 @@ class MinHashCandidateIndex(CandidateIndex):
         ids = self._ids
         return tuple(sorted([ids[row] for row in found]))
 
-    def blocking_keys(self, description: str) -> tuple[int, ...]:
-        """LSH band keys of the description's signature.
-
-        Overrides the token-hash default: for this index, candidacy is
-        routed through band buckets, not raw tokens — two records can
-        only be candidates when a band key collides, so replicating a
-        record onto the shards owning its band keys covers every pair
-        this index would surface.  Token-less records have no keys.
-        """
-        return tuple(sorted(set(self._hashed(description)[2])))
-
     def snapshot_state(self) -> dict:
         """JSON-ready live state (see :mod:`repro.resolve.snapshot`).
 

@@ -60,12 +60,7 @@ class CandidateIndex:
       candidates depends only on those two records, so any insertion
       order yields the same candidate edge set over a full ingestion;
     * a description with no tokens has no blocking key: it is never a
-      candidate for anything (including other token-less records);
-    * ``blocking_keys`` names the integer keys candidacy is routed
-      through: two records can only be candidates when their key sets
-      intersect.  A sharded store replicates each record onto every
-      shard owning one of its keys (``key % shards``), which is what
-      guarantees every candidate pair co-occurs in at least one shard.
+      candidate for anything (including other token-less records).
     """
 
     def add(self, record_id: str, description: str) -> None:
@@ -82,21 +77,3 @@ class CandidateIndex:
     ) -> tuple[str, ...]:
         """Sorted ids of indexed records that are candidates for this one."""
         raise NotImplementedError
-
-    def blocking_keys(self, description: str) -> tuple[int, ...]:
-        """Integer routing keys for one description (sorted, deduplicated).
-
-        Default: one stable 64-bit hash per blocking token, matching the
-        shared-token predicate of the default token index — two
-        descriptions share a candidate-generating token iff their key
-        sets intersect.  Key-collision false *positives* only widen
-        replication (harmless); what an implementation must never do is
-        return disjoint key sets for a pair its ``candidates`` would
-        surface.
-        """
-        from repro._util import stable_hash
-        from repro.blocking.token import blocking_tokens
-
-        return tuple(
-            sorted({stable_hash(token) for token in blocking_tokens(description)})
-        )

@@ -1,8 +1,8 @@
 """Top-k candidate ranking by estimated Jaccard.
 
 Ranking is fully deterministic: candidates sort by descending estimated
-similarity with ties broken by ascending record id, so two runs (or two
-shard layouts) produce byte-identical rankings.  Similarity estimates
+similarity with ties broken by ascending record id, so two runs
+produce byte-identical rankings.  Similarity estimates
 come from vectorized signature agreement — one numpy comparison over
 the stacked candidate signatures, not a Python loop per pair.
 """

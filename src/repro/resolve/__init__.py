@@ -17,10 +17,6 @@ in.  This package closes that gap:
   order-invariant for transitive closure;
 * :mod:`~repro.resolve.snapshot` — the snapshot/compaction format that
   turns journal recovery from O(history) into O(live state);
-* :mod:`~repro.resolve.sharded` — :class:`ShardedResolutionStore`,
-  K independent journal-backed shards (replication on blocking keys,
-  direct cross-shard merge delivery, parallel recovery) producing a
-  clustering byte-identical to one shard's;
 * :mod:`~repro.resolve.canonical` — golden-record selection per cluster
   via deterministic attribute voting;
 * :mod:`~repro.resolve.metrics` — cluster-level evaluation (B³, ARI,
@@ -55,11 +51,6 @@ from repro.resolve.metrics import (
     cluster_scores,
     pairwise_scores,
 )
-from repro.resolve.sharded import (
-    ShardedIngestResult,
-    ShardedResolutionStore,
-    shard_journal_path,
-)
 from repro.resolve.snapshot import (
     SNAPSHOT_VERSION,
     load_snapshot,
@@ -84,8 +75,6 @@ __all__ = [
     "ResolutionReport",
     "ResolutionStore",
     "SNAPSHOT_VERSION",
-    "ShardedIngestResult",
-    "ShardedResolutionStore",
     "TokenCandidateIndex",
     "UnionFind",
     "adjusted_rand_index",
@@ -101,7 +90,6 @@ __all__ = [
     "node_id",
     "pairwise_scores",
     "resolve_blocking",
-    "shard_journal_path",
     "snapshot_path_for",
     "split_records",
     "transitive_closure",

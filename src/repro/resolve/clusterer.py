@@ -76,7 +76,7 @@ class PairDecision:
 
         Cached per instance (the dataclass is frozen, so the pair can
         never change): bulk consumers — clustering, journal restore,
-        sharded re-drain — hit this once per decision instead of
+        store replay — hit this once per decision instead of
         recomputing the canonical ordering on every access.  Cached by
         hand in ``__dict__`` rather than via ``functools.cached_property``,
         whose per-descriptor lock (still present on Python 3.11) costs

@@ -196,9 +196,6 @@ class IngestResult:
     cluster_id: str
     #: size of that cluster after the update.
     cluster_size: int
-    #: canonical (sorted) pairs this call decided as matches — the merge
-    #: events a sharded wrapper must route to sibling shards.
-    merges: tuple = ()
 
 
 class ResolutionStore:
@@ -229,7 +226,6 @@ class ResolutionStore:
         cannot_link: Iterable[tuple[str, str]] = (),
         journal: str | Path | None = None,
         index: CandidateIndex | None = None,
-        journal_meta: dict | None = None,
         _recovering: bool = False,
     ) -> None:
         if mode not in ("transitive", "correlation"):
@@ -265,9 +261,6 @@ class ResolutionStore:
         for a, b in must_link:
             self._apply_must_link(a, b)
         self._journal = None
-        #: extra header fields a wrapper pins into the journal (e.g. the
-        #: sharded store's shard number/count); validated on recovery.
-        self._journal_meta = dict(journal_meta or {})
         #: global journal sequence of the first entry the current writer
         #: will append (bumped by recovery replay and compaction).
         self._seq_at_open = 0
@@ -286,7 +279,6 @@ class ResolutionStore:
                     "kind": "resolve",
                     "mode": mode,
                     "index": type(self._index).__name__,
-                    **self._journal_meta,
                 },
             )
 
@@ -352,11 +344,10 @@ class ResolutionStore:
     def add_must_link(self, a: str, b: str) -> bool:
         """Add one must-link constraint at runtime (journaled, idempotent).
 
-        This is the delivery edge of cross-shard merge routing: a match
-        decided in one shard arrives at every sibling shard holding both
-        records as a must-link, merging them there without another
-        engine call.  Returns False (and journals nothing) when the pair
-        was already constrained.
+        The pair joins one cluster without an engine call, now if both
+        records are present, otherwise when the second one arrives.
+        Returns False (and journals nothing) when the pair was already
+        constrained.
         """
         with self._lock:
             fresh = self._apply_must_link(a, b)
@@ -372,16 +363,6 @@ class ResolutionStore:
         """Every must-link constraint (constructor plus runtime), sorted."""
         with self._lock:
             return tuple(sorted(self._must_pairs))
-
-    def known_pairs(self) -> set:
-        """Canonical pairs this store has decided or been constrained on.
-
-        Delivering a must-link for any of these is a guaranteed no-op;
-        sharded re-drain uses this to deliver only the connectivity a
-        shard is actually missing.
-        """
-        with self._lock:
-            return self._must_pairs | self._compared
 
     # -------------------------------------------------------------- ingestion
 
@@ -410,7 +391,7 @@ class ResolutionStore:
                 # comparisons run, so a crash mid-comparison leaves it
                 # journaled-but-uncommitted and ``recover`` finishes it.
                 self._journal.append({"type": "record", **_record_entry(record)})
-            candidates, calls, skipped, merges = self._finish(record)
+            candidates, calls, skipped = self._finish(record)
         finally:
             with self._lock:
                 self._inflight -= 1
@@ -422,17 +403,15 @@ class ResolutionStore:
             short_circuited=skipped,
             cluster_id=cluster_id,
             cluster_size=cluster_size,
-            merges=tuple(merges),
         )
 
     def _decide_candidates(
         self, record: Record, carried: Sequence[tuple[str, bool]] = ()
-    ) -> tuple[int, int, int, list]:
+    ) -> tuple[int, int, int]:
         """Block *record* and decide its pending pairs until none remain.
 
-        Returns ``(candidates, engine_calls, short_circuited, merges)``
-        for this record, where ``merges`` lists the canonical pairs
-        decided as matches.  Shared by :meth:`ingest` and crash recovery:
+        Returns ``(candidates, engine_calls, short_circuited)`` for this
+        record.  Shared by :meth:`ingest` and crash recovery:
         pairs whose decisions are already journaled sit in ``_compared``
         and are never re-asked, so finishing an uncommitted record after
         a crash decides exactly the pairs the interrupted run had not yet
@@ -456,7 +435,6 @@ class ResolutionStore:
         verdicts: dict[str, bool] = dict(carried)
         candidates = calls = len(verdicts)
         skipped = 0
-        merges: list[tuple[str, str]] = []
         others: tuple[str, ...] = ()
         seen = -1
         while True:
@@ -506,8 +484,6 @@ class ResolutionStore:
                 for other, decision in decided:
                     self._decisions.append(decision)
                     verdicts[other] = decision.match
-                    if decision.match:
-                        merges.append(decision.key)
                 if not remaining and len(self._records) == seen:
                     break
         if self.mode == "transitive":
@@ -515,7 +491,7 @@ class ResolutionStore:
                 for other, match in verdicts.items():
                     if match:
                         self._uf.union(record_id, other)
-        return candidates, calls, skipped, merges
+        return candidates, calls, skipped
 
     def _next_batch(
         self,
@@ -711,7 +687,6 @@ class ResolutionStore:
             "mode": self.mode,
             "index": index_name,
             "basis": seq,
-            **self._journal_meta,
         }
         tmp = journal_path.with_name(journal_path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -748,10 +723,10 @@ class ResolutionStore:
         this reason).  The returned store keeps journaling to the same
         file.
 
-        A journal whose header's configuration (kind, mode, index class,
-        or any ``journal_meta`` field) does not match the resuming store
-        raises a structured :class:`~repro.faults.journal.JournalError`
-        carrying the offending path and line number.  A journal with no
+        A journal whose header's configuration (kind, mode or index
+        class) does not match the resuming store raises a structured
+        :class:`~repro.faults.journal.JournalError` carrying the
+        offending path and line number.  A journal with no
         acknowledged header — the process died between creating the file
         and fsyncing the header — recovers as an *empty* store, not a
         corrupt one.
@@ -765,7 +740,6 @@ class ResolutionStore:
 
         path = Path(path)
         mode = str(kwargs.get("mode", "transitive"))
-        meta = dict(kwargs.get("journal_meta") or {})  # type: ignore[call-overload]
         snap_path = snapshot_path_for(path)
         state = load_snapshot(snap_path, mode=mode) if snap_path.exists() else None
 
@@ -782,8 +756,9 @@ class ResolutionStore:
             repair(path)
             return cls(engine, journal=path, _recovering=True, **kwargs)  # type: ignore[arg-type]
 
-        expect = {"kind": "resolve", "mode": mode, **meta}
-        entries, _ = read_journal(path, expect=expect)
+        entries, _ = read_journal(
+            path, expect={"kind": "resolve", "mode": mode}
+        )
         repair(path)
         header = journal_header(path)
         basis = header.get("basis", 0)
@@ -1018,7 +993,7 @@ class ResolutionStore:
 
     def _finish(
         self, record: Record, carried: Sequence[tuple[str, bool]] = ()
-    ) -> tuple[int, int, int, list]:
+    ) -> tuple[int, int, int]:
         """Decide one indexed record's pairs, then journal its commit.
 
         Returns :meth:`_decide_candidates`'s counts.  Used by
@@ -1028,9 +1003,7 @@ class ResolutionStore:
         (never journaled) are re-examined and re-skipped, so the commit
         entry and the store-level totals match an uninterrupted run's.
         """
-        candidates, calls, skipped, merges = self._decide_candidates(
-            record, carried
-        )
+        candidates, calls, skipped = self._decide_candidates(record, carried)
         if self._journal is not None:
             self._journal.append(
                 {
@@ -1043,7 +1016,7 @@ class ResolutionStore:
             )
         with self._lock:
             self._committed.add(record.record_id)
-        return candidates, calls, skipped, merges
+        return candidates, calls, skipped
 
     # --------------------------------------------------------------- read-outs
 
@@ -1098,7 +1071,7 @@ class ResolutionStore:
 
         The log order is itself deterministic for a given journal, and
         skipping the canonical sort makes this the cheap accessor for
-        bulk consumers (sharded re-drain walks every shard's history).
+        bulk consumers such as benchmarks that walk the whole history.
         """
         with self._lock:
             return tuple(self._decisions)

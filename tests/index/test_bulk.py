@@ -319,9 +319,6 @@ class TestMixedTiers:
             assert mixed.top_candidates(record_id) == loop.top_candidates(
                 record_id
             )
-            assert mixed.blocking_keys(description) == loop.blocking_keys(
-                description
-            )
 
 
 class TestTokenLessIdsSurviveRestore:
@@ -390,8 +387,7 @@ def reference_candidates(hasher, banding, indexed, description, exclude,
 
 #: what happens between a live ``add`` and the query for its description.
 BETWEEN = (
-    None, "readd", "token-less", "same-keys", "other-keys", "probe",
-    "add_many", "restore",
+    None, "readd", "token-less", "probe", "add_many", "restore",
 )
 
 
@@ -454,10 +450,6 @@ class TestLiveQueries:
                 blank = (f"{record_id}-blank", TOKEN_LESS[1])
                 index.add(*blank)
                 indexed.append(blank)
-            elif between == "same-keys":
-                index.blocking_keys(description)
-            elif between == "other-keys":
-                index.blocking_keys(f"{description} zz-other")
             elif between == "probe":
                 index.candidates(f"{description} zz-probe")
             elif between == "add_many":
@@ -484,7 +476,4 @@ class TestLiveQueries:
             assert found == reference_candidates(
                 index.hasher, index.banding, indexed, description,
                 exclude, min_similarity,
-            )
-            assert index.blocking_keys(description) == (
-                fresh.blocking_keys(description)
             )

@@ -114,8 +114,7 @@ class TestPredicate:
 class _CountingHasher:
     """Counts calls through ``MinHasher.signature``, the one-record path.
 
-    ``add``, ``candidates`` and ``blocking_keys`` sign one description
-    at a time; only ``add_many`` and ``restore_state`` go through the
+    ``add`` and ``candidates`` sign one description at a time; only ``add_many`` and ``restore_state`` go through the
     batch ``signatures``, and these tests call neither.
     """
 
@@ -161,20 +160,6 @@ class TestSignatureReuse:
             fresh.add(record.record_id, record.description)
         fresh.add("new", "acme widget pro 64gb black")
         assert found == fresh.candidates(probe)
-
-    def test_blocking_keys_are_unchanged(self):
-        description = "acme widget pro 64gb black"
-        index = _index()
-        hashed = _CountingHasher(index)
-        index.add("a", description)
-        assert index.blocking_keys(description) == _index().blocking_keys(
-            description
-        )
-        assert hashed.calls == 1
-        assert index.blocking_keys("zenix gadget") == _index().blocking_keys(
-            "zenix gadget"
-        )
-        assert hashed.calls == 2
 
 
 class TestTopCandidates:

@@ -2,7 +2,7 @@
 
 Journals and snapshots are the store's on-disk contract — a recovered
 store, a compacted journal, and any external reader all depend on their
-exact bytes.  These digests pin them for three representative stores
+exact bytes.  These digests pin them for two representative stores
 built from the same seeded workload, so a refactor of the encoders
 (record, decision, must-link, components, index state) cannot drift the
 format silently.  If a digest changes on purpose, the format changed:
@@ -18,7 +18,6 @@ from repro.engine.retry import RetryPolicy
 from repro.faults import ParityBackend, synthetic_records
 from repro.index import MinHashCandidateIndex
 from repro.resolve import ResolutionStore, TokenCandidateIndex
-from repro.resolve.sharded import ShardedResolutionStore
 from repro.resolve.snapshot import snapshot_path_for
 
 RECORDS = synthetic_records(40, seed=3)
@@ -103,22 +102,3 @@ class TestDurabilityGolden:
             uninterrupted.add_must_link("r004", "r027")
             uninterrupted.ingest_all([*RECORDS[30:], *MORE])
             assert recovered == uninterrupted.decision_log()
-
-    def test_sharded_directory(self, tmp_path):
-        with ShardedResolutionStore(
-            make_engine(), tmp_path, shards=3
-        ) as store:
-            store.ingest_all(RECORDS[:30])
-            store.snapshot()
-            store.ingest_all(RECORDS[30:])
-        digests = {
-            path.name: sha256(path) for path in sorted(tmp_path.iterdir())
-        }
-        assert digests == {
-            "shard-000.journal": "937174964de0022eee750c1975da221e1201d3a42fa380ece7a3666c99eba517",
-            "shard-000.journal.snapshot": "a69db680a15eb9e2c2aef8934e90bbd03b124af2d47dd7a2912f523e4dd4275a",
-            "shard-001.journal": "167c76e92f3629fdb4e8397d73356284c4981739e9c252f65931ad714c0e0a2e",
-            "shard-001.journal.snapshot": "d8f9eb16f3820ad8c556180407c2f8a4bf4f5864b2506c48f0e8cf2b93cdcce2",
-            "shard-002.journal": "be4befd604edd36f1c3ea017afa3d16fb08cbb32d972cee6068ecde169de53c2",
-            "shard-002.journal.snapshot": "a8683cefb447fa87065776dfc5f2adae0b682dd25b476a415af0b3f6d6400f13",
-        }

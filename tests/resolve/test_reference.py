@@ -6,8 +6,14 @@ that answer is no, skipping pairs whose endpoints are already connected.
 Whatever the insertion order, batch size, index, oracle or must-links,
 its clustering must equal :func:`tests.resolve.reference
 .reference_clusters`, which decides every candidate pair, and every
-candidate pair must be either asked or skipped exactly once.
+candidate pair must be either asked or skipped exactly once.  That holds
+too when the store is closed after the first ``k`` records (replay only,
+or after a snapshot or a compaction) and a recovered store ingests the
+rest.
 """
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +33,16 @@ INDEXES = {
     ),
 }
 ORACLES = {"jaccard": JaccardBackend, "parity": ParityBackend}
+#: what the closed store leaves beside its journal for recovery.
+RESTARTS = ("replay", "snapshot", "compact")
 
 
 @st.composite
 def workloads(draw):
-    """Records, an insertion order and must-links over their ids."""
+    """Records, an insertion order, must-links and a restart point.
+
+    The restart is None (one store ingests everything) or ``(k, how)``.
+    """
     texts = draw(st.lists(
         st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4),
         min_size=2, max_size=14,
@@ -47,7 +58,10 @@ def workloads(draw):
         .filter(lambda p: p[0] != p[1]),
         max_size=3,
     ))
-    return records, order, must
+    restart = draw(st.none() | st.tuples(
+        st.integers(0, len(records)), st.sampled_from(RESTARTS)
+    ))
+    return records, order, must, restart
 
 
 @settings(max_examples=150, deadline=None)
@@ -60,16 +74,37 @@ def workloads(draw):
 def test_store_equals_the_reference_resolver(
     workload, index, oracle, chunk_size
 ):
-    records, order, must = workload
+    records, order, must, restart = workload
 
     def engine():
         return MatchingEngine(backend=ORACLES[oracle]())
 
-    store = ResolutionStore(
-        engine(), index=INDEXES[index](), chunk_size=chunk_size,
-        short_circuit=True, must_link=must,
-    )
-    results = store.ingest_all(order)
+    def options():
+        return {
+            "index": INDEXES[index](), "chunk_size": chunk_size,
+            "short_circuit": True, "must_link": must,
+        }
+
+    if restart is None:
+        store = ResolutionStore(engine(), **options())
+        results = store.ingest_all(order)
+    else:
+        k, how = restart
+        # Hypothesis rejects function-scoped fixtures such as tmp_path.
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = Path(tmp) / "store.journal"
+            with ResolutionStore(
+                engine(), journal=journal, **options()
+            ) as first:
+                results = first.ingest_all(order[:k])
+                if how == "snapshot":
+                    first.snapshot()
+                elif how == "compact":
+                    first.compact()
+            with ResolutionStore.recover(
+                journal, engine(), **options()
+            ) as store:
+                results += store.ingest_all(order[k:])
     assert store.clustering().clusters == reference_clusters(
         records, INDEXES[index](), engine, must
     )

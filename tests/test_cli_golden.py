@@ -25,11 +25,6 @@ GOLDEN = {
          "--seed", "2", "--kill-every", "3", "--format", "json"],
         "97d4986e5bdf6dd3b0b4462f78702ab9955a43e8afdc4c010aecb6ce6f97b9b6",
     ),
-    "chaos-sharded": (
-        ["chaos", "--shards", "4", "--kill-every", "3", "--seed", "0",
-         "--seed", "1", "--seed", "2", "--format", "json"],
-        "eee6e162a5dd304651e05ae94c2bc64ccb6b167e2f6bae779e0755d7c4492c60",
-    ),
     "serve-chaos": (
         ["serve", "--chaos", "--fault-rate", "0.3", "--chaos-seed", "0",
          "--chaos-seed", "1", "--chaos-seed", "2", "--format", "json"],
