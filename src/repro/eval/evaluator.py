@@ -113,8 +113,9 @@ def _journaled_predictions(
     }
     done: dict[int, bool] = {}
     if path.exists() and path.stat().st_size:
-        entries, _ = read_journal(path, expect=header)
-        repair(path)
+        entries, torn = read_journal(path, expect=header)
+        if torn:
+            repair(path)
         for entry in entries:
             if entry.get("type") != "prediction":
                 raise JournalError(

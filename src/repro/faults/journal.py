@@ -20,7 +20,9 @@ newline (or with truncated JSON).  :func:`read_journal` detects exactly
 that case and drops the torn line — the unit of work it described was
 never acknowledged, so the resumed run simply redoes it.  A malformed
 line *before* the final one is not a crash artifact and raises
-:class:`JournalError` (the file was corrupted, not torn).
+:class:`JournalError` (the file was corrupted, not torn).  A resume
+parses the journal once and calls :func:`repair` only when that parse
+reported a torn tail, so a clean restart reads the file once.
 
 A special case of the torn tail is a **torn header**: the process died
 between creating the file and fsyncing the header line, leaving an empty
@@ -260,12 +262,14 @@ def repair(path: str | Path) -> bool:
     """Truncate a torn final line in place; True when bytes were dropped.
 
     Appending after a torn tail would concatenate the new record onto the
-    crash fragment and corrupt *both* lines, so every resume must repair
-    before reopening the journal for writing.  A torn *header* (a file
-    whose only line never got its newline) truncates to an empty file,
-    which :class:`JournalWriter` then re-initialises.  A journal with no
-    torn tail is left untouched.  The truncation is fsync'd (file and
-    directory) before returning.
+    crash fragment and corrupt *both* lines, so a resume whose
+    :func:`read_journal` parse reported ``torn`` must repair before
+    reopening the journal for writing.  This parses the file again, so a
+    resume that already parsed an untorn journal skips the call.  A torn
+    *header* (a file whose only line never got its newline) truncates to
+    an empty file, which :class:`JournalWriter` then re-initialises.  A
+    journal with no torn tail is left untouched.  The truncation is
+    fsync'd (file and directory) before returning.
     """
     path = Path(path)
     _, torn = read_journal(path, allow_blank=True)

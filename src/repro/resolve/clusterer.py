@@ -99,22 +99,38 @@ class PairDecision:
         }
 
     @classmethod
-    def trusted(
-        cls, left: str, right: str, match: bool, score: float, source: str
-    ) -> "PairDecision":
-        """Construct without re-validation, for bulk snapshot restore.
+    def adopt_entries(
+        cls, entries: list[dict]
+    ) -> tuple[list["PairDecision"], list[tuple[str, str]]]:
+        """Decisions over :meth:`as_entry` dicts, with their canonical keys.
 
-        Snapshot documents are written by :meth:`ResolutionStore.snapshot`
-        from decisions that already passed ``__post_init__``, and are
-        version/kind-checked before any row is read — re-validating tens
-        of thousands of rows on every recovery would dominate restore
-        time for zero additional safety.
+        For bulk snapshot restore.  Each dict becomes its decision's own
+        ``__dict__``: no copy and no re-validation, so the caller hands
+        the dicts over and must not use them again.  Snapshot documents
+        are written by :meth:`ResolutionStore.snapshot` from decisions
+        that already passed ``__post_init__``, and are version/kind-checked
+        before any row is read; JSON round-trips ``as_entry``'s
+        str/bool/float fields unchanged.  Copying or re-validating tens of
+        thousands of rows on every recovery would dominate restore time
+        for no additional safety.
+
+        The keys are returned, not cached in the dicts: a dict holding
+        only strings, bools and floats stays untracked by the cyclic
+        garbage collector, so a restore adds one tracked object per
+        decision instead of two.
         """
-        decision = object.__new__(cls)
-        decision.__dict__.update(
-            left=left, right=right, match=match, score=score, source=source
-        )
-        return decision
+        new = object.__new__
+        set_attr = object.__setattr__
+        decisions = []
+        keys = []
+        for entry in entries:
+            left = entry["left"]
+            right = entry["right"]
+            keys.append((left, right) if left <= right else (right, left))
+            decision = new(cls)
+            set_attr(decision, "__dict__", entry)
+            decisions.append(decision)
+        return decisions, keys
 
 
 @dataclass(frozen=True)

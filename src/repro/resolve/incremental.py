@@ -713,10 +713,13 @@ class ResolutionStore:
 
         Loads the sibling snapshot when one exists (see :meth:`snapshot`)
         and replays only the journal suffix past it; otherwise replays
-        the full journal.  Either way a torn final line is dropped and
-        truncated from the file, the union-find / candidate index /
-        compared-pair state is re-derived, and the comparison loop re-runs
-        for any record whose ``commit`` entry never made it to disk.
+        the full journal.  Either way the journal is parsed once; when
+        that parse saw a torn final line (only a crash mid-append leaves
+        one), :func:`~repro.faults.journal.repair` truncates it from the
+        file before the store reopens it for appending.  The union-find,
+        candidate index and compared-pair state are re-derived from the
+        parsed entries, and the comparison loop re-runs for any record
+        whose ``commit`` entry never made it to disk.
         Journaled pairs are never re-asked, so the recovered store — and
         the continued run — is byte-identical to one that was never
         interrupted (decision sources are cache-normalized for exactly
@@ -743,8 +746,9 @@ class ResolutionStore:
         snap_path = snapshot_path_for(path)
         state = load_snapshot(snap_path, mode=mode) if snap_path.exists() else None
 
-        raw = path.read_bytes()
-        if not raw or b"\n" not in raw:
+        with open(path, "rb") as handle:
+            first = handle.readline()
+        if not first.endswith(b"\n"):
             # Torn header: the journal never acknowledged anything.
             if state is not None:
                 raise JournalError(
@@ -756,10 +760,13 @@ class ResolutionStore:
             repair(path)
             return cls(engine, journal=path, _recovering=True, **kwargs)  # type: ignore[arg-type]
 
-        entries, _ = read_journal(
+        entries, torn = read_journal(
             path, expect={"kind": "resolve", "mode": mode}
         )
-        repair(path)
+        if torn:
+            # Only a crash mid-append leaves a torn tail; an untorn
+            # journal is read once and left as it is.
+            repair(path)
         header = journal_header(path)
         basis = header.get("basis", 0)
         if not isinstance(basis, int) or basis < 0:
@@ -850,23 +857,7 @@ class ResolutionStore:
             for entry in state["records"]
             if entry.get("committed", True)
         }
-        decisions = []
-        decision_keys = []
-        # Field types are trusted as-is: the document was serialized by
-        # _snapshot_doc from already-validated decisions, and json round-
-        # trips str/bool/float unchanged.
-        for entry in state["decisions"]:
-            left = entry["left"]
-            right = entry["right"]
-            decisions.append(
-                PairDecision.trusted(
-                    left, right, entry["match"], entry["score"],
-                    entry["source"],
-                )
-            )
-            decision_keys.append(
-                (left, right) if left <= right else (right, left)
-            )
+        decisions, keys = PairDecision.adopt_entries(state["decisions"])
         index_state = index_meta.get("state")
         with self._lock:
             for record in records:
@@ -889,7 +880,7 @@ class ResolutionStore:
             for a, b in state.get("must_link", []):
                 self._register_must_link(str(a), str(b))
             self._decisions.extend(decisions)
-            self._compared.update(decision_keys)
+            self._compared.update(keys)
             self._committed |= committed
             self.engine_calls = int(state.get("engine_calls", len(decisions)))
             self.short_circuited = int(state.get("short_circuited", 0))

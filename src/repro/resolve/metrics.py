@@ -2,9 +2,11 @@
 
 All three scores are computed from one contingency table between the
 predicted and gold partitions, so they are exact (integer pair counts,
-no sampling) and cheap even for thousands of records.  The pairwise
-scores use the *same* arithmetic as :func:`repro.eval.metrics.f1_score`
-— a cluster-level evaluation of a pairwise matcher's transitive closure
+no sampling).  Only the table's nonzero cells are kept, at most one per
+element, so time and memory grow with the records, not with the
+product of the two sides' cluster counts.  The pairwise scores use the
+*same* arithmetic as :func:`repro.eval.metrics.f1_score` — a
+cluster-level evaluation of a pairwise matcher's transitive closure
 reconciles with the pairwise evaluation of the same matcher (tested on
 enumerated pairs in ``tests/resolve/test_metrics.py``).
 
@@ -15,6 +17,7 @@ percentages; ARI keeps its native [-1, 1] scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,13 +69,30 @@ class ClusterScores:
         }
 
 
-def _contingency(
-    predicted: Clustering, gold: Clustering
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contingency matrix ``n[i, j]`` plus row/column marginals.
+class _Contingency(NamedTuple):
+    """Nonzero cells of the predicted × gold contingency table.
 
-    Both partitions must cover exactly the same element set — a metric
-    over mismatched universes would silently compare different problems.
+    ``cells[k]`` is the count ``n_ij`` of elements in predicted cluster
+    ``i = cell_rows[k]`` and gold cluster ``j = cell_cols[k]``; every
+    omitted cell is zero.  ``rows``/``cols`` are the marginals (cluster
+    sizes on each side).
+    """
+
+    cells: np.ndarray
+    cell_rows: np.ndarray
+    cell_cols: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def _contingency(predicted: Clustering, gold: Clustering) -> _Contingency:
+    """The nonzero contingency cells plus row/column marginals.
+
+    One pass over the elements gives each its (predicted, gold) cluster
+    pair; counting the distinct pairs gives the cells in row-major
+    order.  Both partitions must cover exactly the same element set — a
+    metric over mismatched universes would silently compare different
+    problems.
     """
     predicted_elements = predicted.elements
     gold_elements = gold.elements
@@ -88,11 +108,17 @@ def _contingency(
         for j, cluster in enumerate(gold.clusters)
         for member in cluster
     }
-    matrix = np.zeros((len(predicted.clusters), len(gold.clusters)), dtype=np.int64)
-    for i, cluster in enumerate(predicted.clusters):
-        for member in cluster:
-            matrix[i, gold_index[member]] += 1
-    return matrix, matrix.sum(axis=1), matrix.sum(axis=0)
+    rows = np.array([len(c) for c in predicted.clusters], dtype=np.int64)
+    cols = np.array([len(c) for c in gold.clusters], dtype=np.int64)
+    row_of = np.repeat(np.arange(len(rows), dtype=np.int64), rows)
+    col_of = np.fromiter(
+        (gold_index[m] for cluster in predicted.clusters for m in cluster),
+        dtype=np.int64,
+        count=len(row_of),
+    )
+    width = max(len(cols), 1)
+    codes, cells = np.unique(row_of * width + col_of, return_counts=True)
+    return _Contingency(cells, codes // width, codes % width, rows, cols)
 
 
 def _pairs(counts: np.ndarray) -> np.ndarray:
@@ -108,18 +134,18 @@ def b_cubed(
 
     Per element e: precision(e) = |C(e) ∩ G(e)| / |C(e)| and recall(e) =
     |C(e) ∩ G(e)| / |G(e)|; scores average over elements.  From the
-    contingency matrix: Σ_ij n_ij² / a_i (resp. / b_j), divided by n.
+    contingency cells: Σ_ij n_ij² / a_i (resp. / b_j), divided by n.
     """
-    matrix, rows, cols = _contingency(predicted, gold)
-    total = int(rows.sum())
+    table = _contingency(predicted, gold)
+    total = int(table.rows.sum())
     if total == 0:
         return 100.0, 100.0, 100.0
-    squared = matrix.astype(np.float64) ** 2
+    squared = table.cells.astype(np.float64) ** 2
     precision = 100.0 * float(
-        (squared / rows[:, None]).sum()
+        (squared / table.rows[table.cell_rows]).sum()
     ) / total
     recall = 100.0 * float(
-        (squared / cols[None, :]).sum()
+        (squared / table.cols[table.cell_cols]).sum()
     ) / total
     f1 = (
         2 * precision * recall / (precision + recall)
@@ -137,11 +163,11 @@ def adjusted_rand_index(predicted: Clustering, gold: Clustering) -> float:
     the partitions agree perfectly and 0.0 otherwise, the standard
     convention.
     """
-    matrix, rows, cols = _contingency(predicted, gold)
+    cells, _, _, rows, cols = _contingency(predicted, gold)
     total = int(rows.sum())
     if total < 2:
         return 1.0
-    index = float(_pairs(matrix).sum())
+    index = float(_pairs(cells).sum())
     sum_rows = float(_pairs(rows).sum())
     sum_cols = float(_pairs(cols).sum())
     all_pairs = float(total * (total - 1) // 2)
@@ -161,9 +187,9 @@ def pairwise_scores(predicted: Clustering, gold: Clustering) -> MatchingScores:
     arithmetic matches :func:`repro.eval.metrics.f1_score`, so cluster
     evaluations reconcile with the pairwise evaluator.
     """
-    matrix, rows, cols = _contingency(predicted, gold)
+    cells, _, _, rows, cols = _contingency(predicted, gold)
     total = int(rows.sum())
-    tp = int(_pairs(matrix).sum())
+    tp = int(_pairs(cells).sum())
     predicted_positive = int(_pairs(rows).sum())
     gold_positive = int(_pairs(cols).sum())
     fp = predicted_positive - tp

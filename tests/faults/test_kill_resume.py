@@ -13,6 +13,7 @@ from repro.faults import (
     kill_resume_roundtrip,
     synthetic_records,
 )
+from repro.faults import journal
 from repro.faults.harness import resolution_snapshot
 from repro.llm.model import build_model
 from repro.resolve import ResolutionStore
@@ -51,6 +52,17 @@ class TestTornTailRecovery:
                 store.ingest(record)
         return resolution_snapshot(store)
 
+    def assert_repaired(self, path, seed, reference):
+        # Recovery truncated the torn tail before appending: the finished
+        # journal parses clean and recovers to the same state again.
+        _, torn = journal.read_journal(path)
+        assert torn is False
+        again = ResolutionStore.recover(path, make_engine(seed))
+        try:
+            assert resolution_snapshot(again) == reference
+        finally:
+            again.close()
+
     def test_truncated_json_tail_is_redone_on_recovery(self, tmp_path):
         seed, records = 3, synthetic_records(24, seed=3)
         reference = self.reference_for(records, seed)
@@ -63,6 +75,7 @@ class TestTornTailRecovery:
             handle.write(b'{"type": "decision", "left": "r0')
         resumed = ResolutionStore.recover(path, make_engine(seed))
         assert self.finish(resumed, records) == reference
+        self.assert_repaired(path, seed, reference)
 
     def test_missing_final_newline_is_redone_on_recovery(self, tmp_path):
         # The strongest torn-write shape: the last *real* entry parses as
@@ -79,6 +92,7 @@ class TestTornTailRecovery:
         path.write_bytes(raw[:-1])  # chop the final fsync'd newline
         resumed = ResolutionStore.recover(path, make_engine(seed))
         assert self.finish(resumed, records) == reference
+        self.assert_repaired(path, seed, reference)
 
     def test_fresh_store_refuses_an_existing_journal(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -87,6 +101,53 @@ class TestTornTailRecovery:
         # Silently appending a second run would interleave two histories.
         with pytest.raises(ValueError, match="recover"):
             ResolutionStore(make_engine(), journal=path)
+
+
+class TestOneParse:
+    """An untorn journal is parsed once on recovery and never repaired."""
+
+    def spied_recover(self, monkeypatch, path):
+        calls = {"read_journal": 0, "repair": 0}
+
+        def counted(name):
+            real = getattr(journal, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(journal, name, counted(name))
+        store = ResolutionStore.recover(path, make_engine())
+        try:
+            return calls, resolution_snapshot(store)
+        finally:
+            store.close()
+
+    def test_full_journal(self, tmp_path, monkeypatch):
+        path = tmp_path / "wal.jsonl"
+        with ResolutionStore(make_engine(), journal=path) as store:
+            store.ingest_all(synthetic_records(12))
+            reference = resolution_snapshot(store)
+        before = path.read_bytes()
+        calls, recovered = self.spied_recover(monkeypatch, path)
+        assert calls == {"read_journal": 1, "repair": 0}
+        assert recovered == reference
+        assert path.read_bytes() == before
+
+    def test_compacted_journal(self, tmp_path, monkeypatch):
+        path = tmp_path / "wal.jsonl"
+        records = synthetic_records(12)
+        with ResolutionStore(make_engine(), journal=path) as store:
+            store.ingest_all(records[:6])
+            store.compact()
+            store.ingest_all(records[6:])
+            reference = resolution_snapshot(store)
+        calls, recovered = self.spied_recover(monkeypatch, path)
+        assert calls == {"read_journal": 1, "repair": 0}
+        assert recovered == reference
 
 
 class TestEvalJournalResume:
@@ -127,6 +188,37 @@ class TestEvalJournalResume:
         assert resumed.scores == clean.scores
         # Entries are appended in index order, so a resumed journal is
         # byte-identical to one written by an uninterrupted run.
+        assert crash_path.read_bytes() == clean_path.read_bytes()
+
+    def test_torn_prediction_tail_is_repaired_on_resume(
+        self, tmp_path, product_split
+    ):
+        split = self.split(product_split)
+        model = build_model("gpt-4o-mini")
+        clean_path = tmp_path / "clean.jsonl"
+        clean = evaluate_model(
+            model, split, engine=make_engine(),
+            journal=clean_path, journal_chunk=self.CHUNK,
+        )
+        crash_path = tmp_path / "crash.jsonl"
+        crasher = make_engine(
+            backend=CrashingBackend(ParityBackend(), kill_after=3)
+        )
+        with pytest.raises(SimulatedCrash):
+            evaluate_model(
+                model, split, engine=crasher,
+                journal=crash_path, journal_chunk=self.CHUNK,
+            )
+        # A crash mid-append: half a prediction line, no trailing newline.
+        with open(crash_path, "ab") as handle:
+            handle.write(b'{"decision": true, "index": 1')
+        assert journal.read_journal(crash_path)[1] is True
+
+        resumed = evaluate_model(
+            model, split, engine=make_engine(),
+            journal=crash_path, journal_chunk=self.CHUNK,
+        )
+        assert resumed.scores == clean.scores
         assert crash_path.read_bytes() == clean_path.read_bytes()
 
     def test_completed_journal_short_circuits_prediction(

@@ -15,6 +15,7 @@ Contingency matrix [[2, 0], [1, 2]]; from it, by hand:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.eval.metrics import f1_score
 from repro.resolve import (
@@ -24,6 +25,7 @@ from repro.resolve import (
     cluster_scores,
     pairwise_scores,
 )
+from repro.resolve.metrics import _contingency
 
 PREDICTED = Clustering.from_clusters([["a", "b"], ["c", "d", "e"]])
 GOLD = Clustering.from_clusters([["a", "b", "c"], ["d", "e"]])
@@ -106,3 +108,75 @@ class TestClusterScores:
         other = Clustering.from_clusters([["a", "b"], ["c", "d", "x"]])
         with pytest.raises(ValueError, match="different elements"):
             cluster_scores(other, GOLD)
+
+
+def dense_table(predicted, gold):
+    """The full predicted × gold contingency matrix, zeros included."""
+    gold_index = {
+        member: j for j, cluster in enumerate(gold.clusters) for member in cluster
+    }
+    matrix = np.zeros((len(predicted.clusters), len(gold.clusters)), dtype=np.int64)
+    for i, cluster in enumerate(predicted.clusters):
+        for member in cluster:
+            matrix[i, gold_index[member]] += 1
+    return matrix
+
+
+def dense_b_cubed(matrix):
+    rows, cols = matrix.sum(axis=1), matrix.sum(axis=0)
+    total = int(rows.sum())
+    if total == 0:
+        return 100.0, 100.0
+    squared = matrix.astype(np.float64) ** 2
+    return (
+        100.0 * float((squared / rows[:, None]).sum()) / total,
+        100.0 * float((squared / cols[None, :]).sum()) / total,
+    )
+
+
+@st.composite
+def two_partitions(draw):
+    """Two random partitions of one element set (labels drawn per element)."""
+    n = draw(st.integers(0, 40))
+    elements = [f"e{i:02d}" for i in range(n)]
+    labels = st.lists(st.integers(0, 12), min_size=n, max_size=n)
+
+    def partition(assignment):
+        groups = {}
+        for element, label in zip(elements, assignment):
+            groups.setdefault(label, []).append(element)
+        return Clustering.from_clusters(groups.values())
+
+    return partition(draw(labels)), partition(draw(labels))
+
+
+class TestSparseContingency:
+    """The nonzero-cell table against the dense matrix it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_partitions())
+    def test_cells_and_marginals_match_the_dense_matrix(self, partitions):
+        predicted, gold = partitions
+        matrix = dense_table(predicted, gold)
+        table = _contingency(predicted, gold)
+        rebuilt = np.zeros_like(matrix)
+        rebuilt[table.cell_rows, table.cell_cols] = table.cells
+        assert np.array_equal(rebuilt, matrix)
+        assert (table.cells > 0).all()
+        assert np.array_equal(table.rows, matrix.sum(axis=1))
+        assert np.array_equal(table.cols, matrix.sum(axis=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_partitions())
+    def test_scores_match_the_dense_matrix(self, partitions):
+        predicted, gold = partitions
+        matrix = dense_table(predicted, gold)
+        precision, recall, _ = b_cubed(predicted, gold)
+        dense_precision, dense_recall = dense_b_cubed(matrix)
+        assert abs(precision - dense_precision) <= 1e-9
+        assert abs(recall - dense_recall) <= 1e-9
+        pairs = lambda counts: int((counts * (counts - 1) // 2).sum())
+        scores = pairwise_scores(predicted, gold)
+        assert scores.tp == pairs(matrix)
+        assert scores.tp + scores.fp == pairs(matrix.sum(axis=1))
+        assert scores.tp + scores.fn == pairs(matrix.sum(axis=0))

@@ -115,6 +115,32 @@ class TestSnapshotRoundTrip:
             recovered.close()
 
 
+    def test_restored_decision_log_matches_field_for_field(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        store = journaled_store(path)
+        store.ingest_all(synthetic_records(24))
+        before = store.decision_log()
+        assert before
+        store.compact()
+        store.close()
+        recovered = ResolutionStore.recover(path, make_engine())
+        try:
+            after = recovered.decision_log()
+        finally:
+            recovered.close()
+        assert after == before
+        for old, new in zip(before, after, strict=True):
+            assert (new.left, new.right, new.match, new.score, new.source) == (
+                old.left, old.right, old.match, old.score, old.source
+            )
+            assert type(new.match) is bool
+            assert type(new.score) is float
+            assert type(new.source) is str
+            assert new.key == old.key
+            assert new.as_entry() == old.as_entry()
+            assert hash(new) == hash(old)
+
+
 class TestCompaction:
     def test_compact_swaps_journal_for_suffix_only_file(self, tmp_path):
         path = tmp_path / "wal.jsonl"
