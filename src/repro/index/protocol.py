@@ -17,12 +17,10 @@ Two shapes cover every blocking strategy in the library:
   is exactly what makes the store's candidate edge set — and therefore
   its clustering — insertion-order invariant.
 
-``CandidateIndex`` is deliberately a plain base class rather than a
-``typing.Protocol``: the lock-discipline analyzer (``repro-em lint
---deep``) treats Protocol-declared methods as blocking I/O boundaries,
-and the candidate index is in-memory state that the store *must* touch
-under its lock.  Implementations subclass it; the base class supplies
-``add_many`` as a loop of ``add``.
+``CandidateIndex`` is a plain base class rather than a
+``typing.Protocol`` because it carries code: it supplies ``add_many``
+as a loop of ``add``, and implementations subclass it.  An index takes
+no lock; its one caller is a store's one writer.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ in.  This package closes that gap:
   low-agreement merges, both honouring must-link / cannot-link
   constraints;
 * :mod:`~repro.resolve.incremental` — :class:`ResolutionStore`, a
-  thread-safe store that ingests records one at a time (blocker
+  single-writer store that ingests records one at a time (blocker
   candidates → micro-batched engine decisions → cluster update) and is
   order-invariant for transitive closure;
 * :mod:`~repro.resolve.snapshot` — the snapshot/compaction format that

@@ -42,7 +42,13 @@ invariance argument above holds unchanged.
 **Durability.**  ``journal=`` write-ahead-logs every record, decision,
 commit, and must-link to an fsync'd JSONL file
 (:mod:`repro.faults.journal`); :meth:`recover` rebuilds a killed store
-and finishes its in-flight work byte-identically.  The round rule reads
+and finishes its in-flight work byte-identically.  Every write is
+journaled before it is applied: ``ingest`` appends the record line
+before the record enters the record table, the index or the
+union-find, each decision chunk before it joins the decision log, and
+``add_must_link`` its pair before the union.  So every journal prefix
+names each record before any decision on it, and a failed append
+leaves the store as it was.  The round rule reads
 only journaled state: the candidate set, the union-find, and the
 record's own answers.  A record's matches join the union-find only
 after its last answer, live and on recovery alike, so the clusters it
@@ -58,24 +64,24 @@ constraints, candidate index) at the current journal sequence, and
 file — after which recovery is O(live state + suffix), never O(full
 history).  See :mod:`repro.resolve.snapshot` and DESIGN.md §18.
 
-**Thread safety.**  One lock guards the record table, candidate index,
-union-find, and decision log (``@guarded_by`` declarations below,
-enforced by ``repro-em lint --deep``).  Engine dispatch — the only
-blocking work — always happens outside the lock: ``ingest`` snapshots
-candidates under the lock, decides them unlocked, applies the verdicts
-under the lock, and loops until no undecided candidate remains, so
-records ingested concurrently by other threads are still compared.
+**One writer.**  A store is a single-writer object, like a ``dict``:
+``ingest``, ``add_must_link``, ``snapshot`` and ``compact`` must not
+run concurrently, and the store takes no lock.  With one writer a
+record's candidate set cannot change while it is decided, so the index
+is queried once per record.  A write that starts while an ingest is
+deciding its record (an engine that calls back into the store) raises
+instead of interleaving, and ``snapshot``/``compact`` refuse a store
+that is mid-ingest.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.blocking.token import blocking_tokens
-from repro.concurrency import guarded_by, idempotent
+from repro.concurrency import idempotent
 from repro.datasets.schema import Record
 from repro.engine.engine import MatchingEngine, MatchResult
 from repro.index.protocol import CandidateIndex
@@ -133,6 +139,13 @@ def _record_from(entry: dict) -> Record:
     )
 
 
+def _must_pair(a: str, b: str) -> tuple[str, str]:
+    """Canonical (sorted) must-link pair; a record cannot link itself."""
+    if a == b:
+        raise ValueError(f"must-link pair of {a!r} with itself")
+    return (a, b) if a < b else (b, a)
+
+
 class TokenCandidateIndex(CandidateIndex):
     """Inverted index serving a *pairwise* shared-token candidate predicate.
 
@@ -140,8 +153,9 @@ class TokenCandidateIndex(CandidateIndex):
     ``min_shared`` distinct blocking tokens.  The predicate depends only
     on the two records — no collection-level frequency pruning — which is
     what makes the incremental candidate edge set insertion-order-
-    invariant.  The index is not locked: :class:`ResolutionStore` guards
-    it.  The MinHash/LSH counterpart with the same contract is
+    invariant.  The index takes no lock: its one caller is a
+    :class:`ResolutionStore`'s one writer.  The MinHash/LSH counterpart
+    with the same contract is
     :class:`repro.index.MinHashCandidateIndex`.
     """
 
@@ -199,21 +213,7 @@ class IngestResult:
 
 
 class ResolutionStore:
-    """Live entity-resolution state: records in, clusters out."""
-
-    #: engine dispatch happens outside the store lock (blocking work).
-    engine: MatchingEngine
-    _records: Annotated["dict[str, Record]", guarded_by("_lock")]
-    _index: Annotated[CandidateIndex, guarded_by("_lock")]
-    _uf: Annotated[UnionFind, guarded_by("_lock")]
-    _decisions: Annotated["list[PairDecision]", guarded_by("_lock")]
-    _compared: Annotated["set[tuple[str, str]]", guarded_by("_lock")]
-    _must_pairs: Annotated["set[tuple[str, str]]", guarded_by("_lock")]
-    _must_by_member: Annotated["dict[str, list[str]]", guarded_by("_lock")]
-    _committed: Annotated["set[str]", guarded_by("_lock")]
-    _inflight: Annotated[int, guarded_by("_lock")]
-    engine_calls: Annotated[int, guarded_by("_lock")]
-    short_circuited: Annotated[int, guarded_by("_lock")]
+    """Live entity-resolution state: records in, clusters out (one writer)."""
 
     def __init__(
         self,
@@ -242,20 +242,24 @@ class ResolutionStore:
             short_circuit and mode == "transitive" and not tuple(cannot_link)
         )
         self.cannot_link = tuple(sorted({tuple(sorted(p)) for p in cannot_link}))
-        self._lock = threading.RLock()
-        self._records = {}
+        self._records: dict[str, Record] = {}
         #: blocking-strategy injection point: any CandidateIndex whose
         #: predicate is a symmetric function of the two records alone
         #: preserves the store's insertion-order invariance (see the
         #: module docstring).
         self._index = index if index is not None else TokenCandidateIndex()
         self._uf = UnionFind()
-        self._decisions = []
-        self._compared = set()
-        self._must_pairs = set()
-        self._must_by_member = {}
-        self._committed = set()
-        self._inflight = 0
+        self._decisions: list[PairDecision] = []
+        self._compared: set[tuple[str, str]] = set()
+        self._must_pairs: set[tuple[str, str]] = set()
+        self._must_by_member: dict[str, list[str]] = {}
+        self._committed: set[str] = set()
+        #: True while a record is being decided and committed; a write
+        #: or snapshot then would break the one-writer contract.
+        self._ingesting = False
+        #: True once ``close`` released a journal: writes would go
+        #: unjournaled, so they are refused.
+        self._closed = False
         self.engine_calls = 0
         self.short_circuited = 0
         for a, b in must_link:
@@ -283,31 +287,41 @@ class ResolutionStore:
             )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def __contains__(self, record_id: str) -> bool:
-        with self._lock:
-            return record_id in self._records
+        return record_id in self._records
 
     @idempotent
     def close(self) -> None:
         """Release the write-ahead journal handle.
 
-        Idempotent and thread-safe; a store built without a journal is a
-        no-op.  The store itself stays readable after close — only
-        further journaled ingestion is cut off (by the closed handle).
+        Idempotent; a store built without a journal is a no-op.  The
+        store stays readable after close, but a journaled store refuses
+        further writes: ``ingest`` and ``add_must_link`` raise
+        ``ValueError`` instead of accepting what the journal would not
+        hold.
         """
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+            self._closed = True
 
     def __enter__(self) -> "ResolutionStore":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    def _check_writable(self) -> None:
+        """Refuse a write during an ingest or after ``close``."""
+        if self._ingesting:
+            raise RuntimeError(
+                "ResolutionStore has one writer: a write started while an "
+                "ingest was deciding its record"
+            )
+        if self._closed:
+            raise ValueError("ResolutionStore is closed: its journal takes no writes")
 
     # ------------------------------------------------------------ constraints
 
@@ -316,30 +330,19 @@ class ResolutionStore:
 
         Returns the canonical pair, or None when it was already known.
         """
-        if a == b:
-            raise ValueError(f"must-link pair of {a!r} with itself")
-        pair = (a, b) if a < b else (b, a)
-        with self._lock:
-            if pair in self._must_pairs:
-                return None
-            self._must_pairs.add(pair)
-            self._must_by_member.setdefault(pair[0], []).append(pair[1])
-            self._must_by_member.setdefault(pair[1], []).append(pair[0])
+        pair = _must_pair(a, b)
+        if pair in self._must_pairs:
+            return None
+        self._must_pairs.add(pair)
+        self._must_by_member.setdefault(pair[0], []).append(pair[1])
+        self._must_by_member.setdefault(pair[1], []).append(pair[0])
         return pair
 
-    def _apply_must_link(self, a: str, b: str) -> bool:
-        """Register a must-link pair; union it if both sides are present.
-
-        Returns False when the pair was already known.  The lock is
-        reentrant, so callers already inside it can use this directly.
-        """
-        with self._lock:
-            pair = self._register_must_link(a, b)
-            if pair is None:
-                return False
-            if pair[0] in self._records and pair[1] in self._records:
-                self._uf.union(pair[0], pair[1])
-        return True
+    def _apply_must_link(self, a: str, b: str) -> None:
+        """Register a must-link pair; union it if both sides are present."""
+        pair = self._register_must_link(a, b)
+        if pair and pair[0] in self._records and pair[1] in self._records:
+            self._uf.union(pair[0], pair[1])
 
     def add_must_link(self, a: str, b: str) -> bool:
         """Add one must-link constraint at runtime (journaled, idempotent).
@@ -347,57 +350,54 @@ class ResolutionStore:
         The pair joins one cluster without an engine call, now if both
         records are present, otherwise when the second one arrives.
         Returns False (and journals nothing) when the pair was already
-        constrained.
+        constrained.  The pair is journaled before the union.
         """
-        with self._lock:
-            fresh = self._apply_must_link(a, b)
-        if fresh and self._journal is not None:
-            pair = (a, b) if a < b else (b, a)
+        self._check_writable()
+        pair = _must_pair(a, b)
+        if pair in self._must_pairs:
+            return False
+        if self._journal is not None:
             self._journal.append(
                 {"type": "must_link", "left": pair[0], "right": pair[1]}
             )
-        return fresh
+        self._apply_must_link(*pair)
+        return True
 
     @property
     def must_link(self) -> tuple:
         """Every must-link constraint (constructor plus runtime), sorted."""
-        with self._lock:
-            return tuple(sorted(self._must_pairs))
+        return tuple(sorted(self._must_pairs))
 
     # -------------------------------------------------------------- ingestion
 
     def ingest(self, record: Record) -> IngestResult:
-        """Add one record: block → decide → update clusters.
+        """Add one record: journal → block → decide → update clusters.
 
-        Safe to call from multiple threads; the engine call runs outside
-        the store lock, and the snapshot/apply loop re-checks for records
-        that arrived while it was deciding.
+        The record line is journaled before the record enters the store,
+        so a failed append leaves the store untouched and the same record
+        can be ingested again.  Raises ``RuntimeError`` when called while
+        another ingest is deciding its record (the store has one writer),
+        and ``ValueError`` for a duplicate id or a closed journaled store.
         """
-        with self._lock:
-            if record.record_id in self._records:
-                raise ValueError(
-                    f"record {record.record_id!r} already ingested"
-                )
-            self._inflight += 1
-            self._records[record.record_id] = record
-            self._index.add(record.record_id, record.description)
-            self._uf.add(record.record_id)
-            for partner in self._must_by_member.get(record.record_id, ()):
-                if partner in self._records:
-                    self._uf.union(record.record_id, partner)
-        try:
-            if self._journal is not None:
-                # Write-ahead: the record is acknowledged before any of its
-                # comparisons run, so a crash mid-comparison leaves it
-                # journaled-but-uncommitted and ``recover`` finishes it.
-                self._journal.append({"type": "record", **_record_entry(record)})
-            candidates, calls, skipped = self._finish(record)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-        cluster_id, cluster_size = self._cluster_of(record.record_id)
+        self._check_writable()
+        record_id = record.record_id
+        if record_id in self._records:
+            raise ValueError(f"record {record_id!r} already ingested")
+        if self._journal is not None:
+            # Write-ahead: the record is acknowledged before any of its
+            # comparisons run, so a crash mid-comparison leaves it
+            # journaled-but-uncommitted and ``recover`` finishes it.
+            self._journal.append({"type": "record", **_record_entry(record)})
+        self._records[record_id] = record
+        self._index.add(record_id, record.description)
+        self._uf.add(record_id)
+        for partner in self._must_by_member.get(record_id, ()):
+            if partner in self._records:
+                self._uf.union(record_id, partner)
+        candidates, calls, skipped = self._finish(record)
+        cluster_id, cluster_size = self._cluster_of(record_id)
         return IngestResult(
-            record_id=record.record_id,
+            record_id=record_id,
             candidates=candidates,
             engine_calls=calls,
             short_circuited=skipped,
@@ -423,34 +423,22 @@ class ResolutionStore:
         Which pairs go to the engine next is :meth:`_next_batch`'s rule.
         The record's matches join the union-find only after its last
         answer, so the clusters it groups its candidates by stay put
-        while it is being decided.  The index is queried once per record
-        unless another record was ingested after the scan: candidacy is a
-        pairwise function of records that are never removed, so only a
-        new record can surface a pair the last scan did not.  Pairs a
-        batch cut at ``chunk_size`` left pending are taken from the same
-        scan.
+        while it is being decided.  The index is queried once: with one
+        writer no record arrives mid-decision, so every ``chunk_size``
+        batch is drawn from the same scan.
         """
         record_id = record.record_id
         #: partner id -> match, for every answer this record got so far.
         verdicts: dict[str, bool] = dict(carried)
         candidates = calls = len(verdicts)
         skipped = 0
-        others: tuple[str, ...] = ()
-        seen = -1
+        others = self._index.candidates(record.description, exclude=record_id)
         while True:
-            with self._lock:
-                #: records are never removed, so an unchanged count means
-                #: an unchanged candidate set for this record.
-                if len(self._records) != seen:
-                    seen = len(self._records)
-                    others = self._index.candidates(
-                        record.description, exclude=record_id
-                    )
-                todo, remaining, shorted = self._next_batch(
-                    record_id, others, verdicts
-                )
-                candidates += len(todo) + shorted
-                skipped += shorted
+            todo, remaining, shorted = self._next_batch(
+                record_id, others, verdicts
+            )
+            candidates += len(todo) + shorted
+            skipped += shorted
             if not todo:
                 break
             results = self.engine.match_pairs(
@@ -479,18 +467,17 @@ class ResolutionStore:
                     self._journal.append(
                         {"type": "decision", **decision.as_entry()}
                     )
-            with self._lock:
-                self.engine_calls += len(results)
-                for other, decision in decided:
-                    self._decisions.append(decision)
-                    verdicts[other] = decision.match
-                if not remaining and len(self._records) == seen:
-                    break
+            self.engine_calls += len(results)
+            for other, decision in decided:
+                self._decisions.append(decision)
+                self._compared.add((decision.left, decision.right))
+                verdicts[other] = decision.match
+            if not remaining:
+                break
         if self.mode == "transitive":
-            with self._lock:
-                for other, match in verdicts.items():
-                    if match:
-                        self._uf.union(record_id, other)
+            for other, match in verdicts.items():
+                if match:
+                    self._uf.union(record_id, other)
         return candidates, calls, skipped
 
     def _next_batch(
@@ -499,19 +486,19 @@ class ResolutionStore:
         others: tuple[str, ...],
         verdicts: dict[str, bool],
     ) -> tuple[list[tuple[str, str, str]], int, int]:
-        """Claim the next pairs of *record_id* to ask the engine about.
+        """Choose the next pairs of *record_id* to ask the engine about.
 
         *others* is the record's sorted candidate list and *verdicts* its
         answers so far.  Returns ``(todo, remaining, short_circuited)``:
         at most ``chunk_size`` ``(other, prompt-left, prompt-right)``
-        entries in id order, how many unclaimed pairs wait for a later
+        entries in id order, how many pending pairs wait for a later
         batch, and how many pairs this call skipped.  The prompt
         descriptions follow the canonical (sorted) pair, not arrival: the
         model's answer is not symmetric in its arguments, so a fixed
         orientation is what keeps each decision, and so the clustering,
         insertion-order-free.
 
-        Without short-circuiting every unclaimed pair is asked.  With it,
+        Without short-circuiting every pending pair is asked.  With it,
         the pending partners are grouped by their current cluster:
 
         * round A asks one representative, the lowest-id pending member,
@@ -526,52 +513,50 @@ class ResolutionStore:
                 return record_id, other
             return other, record_id
 
-        with self._lock:
-            compared = self._compared
-            shorted = 0
-            if not self.short_circuit:
-                fresh = [o for o in others if pair_of(o) not in compared]
-                asked = fresh[: self.chunk_size]
-                remaining = len(fresh) - len(asked)
-            else:
-                find = self._uf.find
-                said_no = {find(o) for o, yes in verdicts.items() if not yes}
-                connected = {find(record_id)} | {
-                    find(o) for o, yes in verdicts.items() if yes
-                }
-                #: cluster id -> its lowest-id pending member (others is
-                #: sorted, so the first one seen).
-                round_a: dict[str, str] = {}
-                round_b: list[str] = []
-                waiting = 0
-                for other in others:
-                    pair = pair_of(other)
-                    if pair in compared:
-                        continue
-                    cluster = find(other)
-                    if cluster in said_no:
-                        round_b.append(other)
-                    elif cluster in connected:
-                        compared.add(pair)
-                        shorted += 1
-                        continue
-                    else:
-                        round_a.setdefault(cluster, other)
-                    waiting += 1
-                asked = (list(round_a.values()) if round_a else round_b)[
-                    : self.chunk_size
-                ]
-                remaining = waiting - len(asked)
-                self.short_circuited += shorted
-            todo = []
-            for other in asked:
+        compared = self._compared
+        shorted = 0
+        if not self.short_circuit:
+            fresh = [o for o in others if pair_of(o) not in compared]
+            asked = fresh[: self.chunk_size]
+            remaining = len(fresh) - len(asked)
+        else:
+            find = self._uf.find
+            said_no = {find(o) for o, yes in verdicts.items() if not yes}
+            connected = {find(record_id)} | {
+                find(o) for o, yes in verdicts.items() if yes
+            }
+            #: cluster id -> its lowest-id pending member (others is
+            #: sorted, so the first one seen).
+            round_a: dict[str, str] = {}
+            round_b: list[str] = []
+            waiting = 0
+            for other in others:
                 pair = pair_of(other)
-                compared.add(pair)
-                todo.append((
-                    other,
-                    self._records[pair[0]].description,
-                    self._records[pair[1]].description,
-                ))
+                if pair in compared:
+                    continue
+                cluster = find(other)
+                if cluster in said_no:
+                    round_b.append(other)
+                elif cluster in connected:
+                    compared.add(pair)
+                    shorted += 1
+                    continue
+                else:
+                    round_a.setdefault(cluster, other)
+                waiting += 1
+            asked = (list(round_a.values()) if round_a else round_b)[
+                : self.chunk_size
+            ]
+            remaining = waiting - len(asked)
+            self.short_circuited += shorted
+        todo = []
+        for other in asked:
+            left, right = pair_of(other)
+            todo.append((
+                other,
+                self._records[left].description,
+                self._records[right].description,
+            ))
         return todo, remaining, shorted
 
     def ingest_all(self, records: Sequence[Record]) -> list[IngestResult]:
@@ -587,69 +572,64 @@ class ResolutionStore:
         carries the sequence it starts at as ``basis``).  Zero for a
         store without a journal.
         """
-        journal = self._journal
-        if journal is None:
+        if self._journal is None:
             return self._seq_at_open
-        return self._seq_at_open + journal.entries
+        return self._seq_at_open + self._journal.entries
 
     def snapshot(self, path: str | Path | None = None) -> Path:
         """Checkpoint live state at the current journal sequence.
 
-        The store must be journaled and quiescent (no ingest in flight):
-        the snapshot's ``seq`` claims to cover exactly the journal prefix
-        ``[0, seq)``, which only holds when no acknowledged-but-unapplied
-        (or applied-but-unacknowledged) work exists.  Returns the path
-        written.  See :mod:`repro.resolve.snapshot` for the format.
+        The store must be journaled and quiescent (no ingest deciding a
+        record): the snapshot's ``seq`` claims to cover exactly the
+        journal prefix ``[0, seq)``, which only holds when no
+        acknowledged-but-unapplied (or applied-but-unacknowledged) work
+        exists.  Returns the path written.  See
+        :mod:`repro.resolve.snapshot` for the format.
         """
-        with self._lock:
-            if self._journal is None:
-                raise ValueError("snapshot requires a journaled store")
-            if self._inflight:
-                raise ValueError(
-                    "snapshot requires a quiescent store "
-                    f"({self._inflight} ingest(s) in flight)"
-                )
-            doc = self._snapshot_doc()
-            target = (
-                Path(path) if path is not None
-                else snapshot_path_for(self._journal.path)
+        if self._journal is None:
+            raise ValueError("snapshot requires a journaled store")
+        if self._ingesting:
+            raise ValueError(
+                "snapshot requires a quiescent store (an ingest is deciding "
+                "its record)"
             )
-        # The document is an immutable copy: writing it outside the lock
-        # keeps file I/O off the store's critical section.
-        return write_snapshot_doc(target, doc)
+        target = (
+            Path(path) if path is not None
+            else snapshot_path_for(self._journal.path)
+        )
+        return write_snapshot_doc(target, self._snapshot_doc())
 
     def _snapshot_doc(self) -> dict:
-        """JSON-ready live state (store quiescent; lock is reentrant)."""
-        with self._lock:
-            index_state = None
-            state_of = getattr(self._index, "snapshot_state", None)
-            if callable(state_of):
-                index_state = state_of()
-            return {
-                "kind": "resolve-snapshot",
-                "version": SNAPSHOT_VERSION,
-                "mode": self.mode,
-                "seq": self.journal_seq(),
-                "records": [
-                    {
-                        **_record_entry(record),
-                        "committed": record.record_id in self._committed,
-                    }
-                    for record in self._records.values()
-                ],
-                "decisions": [d.as_entry() for d in self._decisions],
-                "must_link": [list(pair) for pair in sorted(self._must_pairs)],
-                "cannot_link": [list(pair) for pair in self.cannot_link],
-                # Materialized partition: restore loads this directly
-                # instead of replaying one union per positive decision.
-                "components": self._uf.snapshot_state(),
-                "engine_calls": self.engine_calls,
-                "short_circuited": self.short_circuited,
-                "index": {
-                    "class": type(self._index).__name__,
-                    "state": index_state,
-                },
-            }
+        """JSON-ready live state (store quiescent)."""
+        index_state = None
+        state_of = getattr(self._index, "snapshot_state", None)
+        if callable(state_of):
+            index_state = state_of()
+        return {
+            "kind": "resolve-snapshot",
+            "version": SNAPSHOT_VERSION,
+            "mode": self.mode,
+            "seq": self.journal_seq(),
+            "records": [
+                {
+                    **_record_entry(record),
+                    "committed": record.record_id in self._committed,
+                }
+                for record in self._records.values()
+            ],
+            "decisions": [d.as_entry() for d in self._decisions],
+            "must_link": [list(pair) for pair in sorted(self._must_pairs)],
+            "cannot_link": [list(pair) for pair in self.cannot_link],
+            # Materialized partition: restore loads this directly
+            # instead of replaying one union per positive decision.
+            "components": self._uf.snapshot_state(),
+            "engine_calls": self.engine_calls,
+            "short_circuited": self.short_circuited,
+            "index": {
+                "class": type(self._index).__name__,
+                "state": index_state,
+            },
+        }
 
     def compact(self) -> Path:
         """Snapshot, then swap the journal for a suffix-only file.
@@ -663,8 +643,7 @@ class ResolutionStore:
         in between leaves the old full journal, which recovery handles
         by skipping the first ``seq - basis`` entries).
 
-        Like :meth:`snapshot`, requires a quiescent store; concurrent
-        ingestion must be externally paused across the call.
+        Like :meth:`snapshot`, requires a journaled, quiescent store.
         """
         import json as _json
         import os as _os
@@ -672,14 +651,10 @@ class ResolutionStore:
         from repro.faults.journal import JOURNAL_VERSION, JournalWriter, fsync_dir
 
         snapshot_path = self.snapshot()
-        with self._lock:
-            if self._journal is None:  # pragma: no cover — snapshot checked
-                raise ValueError("compact requires a journaled store")
-            seq = self.journal_seq()
-            journal_path = self._journal.path
-            index_name = type(self._index).__name__
-            self._journal.close()
-            self._journal = None
+        seq = self.journal_seq()
+        journal_path = self._journal.path
+        index_name = type(self._index).__name__
+        self._journal.close()
         header = {
             "type": "header",
             "version": JOURNAL_VERSION,
@@ -695,9 +670,8 @@ class ResolutionStore:
             _os.fsync(handle.fileno())
         _os.replace(tmp, journal_path)
         fsync_dir(journal_path.parent)
-        with self._lock:
-            self._journal = JournalWriter(journal_path)
-            self._seq_at_open = seq
+        self._journal = JournalWriter(journal_path)
+        self._seq_at_open = seq
         return snapshot_path
 
     # --------------------------------------------------------------- recovery
@@ -823,8 +797,7 @@ class ResolutionStore:
         from repro.faults.journal import JournalError
 
         index_meta = state.get("index") or {}
-        with self._lock:
-            index_cls = type(self._index).__name__
+        index_cls = type(self._index).__name__
         if index_meta.get("class") != index_cls:
             raise JournalError(
                 f"{path}: snapshot was taken through index "
@@ -859,31 +832,38 @@ class ResolutionStore:
         }
         decisions, keys = PairDecision.adopt_entries(state["decisions"])
         index_state = index_meta.get("state")
-        with self._lock:
-            for record in records:
-                self._records[record.record_id] = record
-            restore = getattr(self._index, "restore_state", None)
-            if index_state is not None and callable(restore):
-                restore(index_state)
-            else:
-                # No serialized index state: rebuild it by re-indexing
-                # every record in insertion order (same end state, pays
-                # tokenization/hashing again).
-                self._index.add_many(
-                    (record.record_id, record.description)
-                    for record in records
+        for record in records:
+            self._records[record.record_id] = record
+        for left, right in keys:
+            if left not in self._records or right not in self._records:
+                raise JournalError(
+                    f"{path}: snapshot decision ({left!r}, {right!r}) names "
+                    f"a record the snapshot does not hold",
+                    path=path,
+                    lineno=1,
                 )
-            # Materialized partition: load it flat and register the
-            # must-link bookkeeping without re-running a union per pair —
-            # connectivity is already in the components.
-            self._uf.restore_state(components)
-            for a, b in state.get("must_link", []):
-                self._register_must_link(str(a), str(b))
-            self._decisions.extend(decisions)
-            self._compared.update(keys)
-            self._committed |= committed
-            self.engine_calls = int(state.get("engine_calls", len(decisions)))
-            self.short_circuited = int(state.get("short_circuited", 0))
+        restore = getattr(self._index, "restore_state", None)
+        if index_state is not None and callable(restore):
+            restore(index_state)
+        else:
+            # No serialized index state: rebuild it by re-indexing
+            # every record in insertion order (same end state, pays
+            # tokenization/hashing again).
+            self._index.add_many(
+                (record.record_id, record.description)
+                for record in records
+            )
+        # Materialized partition: load it flat and register the
+        # must-link bookkeeping without re-running a union per pair —
+        # connectivity is already in the components.
+        self._uf.restore_state(components)
+        for a, b in state.get("must_link", []):
+            self._register_must_link(str(a), str(b))
+        self._decisions.extend(decisions)
+        self._compared.update(keys)
+        self._committed |= committed
+        self.engine_calls = int(state.get("engine_calls", len(decisions)))
+        self.short_circuited = int(state.get("short_circuited", 0))
         return [r for r in records if r.record_id not in committed]
 
     def _replay(
@@ -899,8 +879,9 @@ class ResolutionStore:
         entry is returned for :meth:`_finish`, each with the
         ``(partner, match)`` answers journaled on its behalf.  A decision
         belongs to its later-journaled endpoint, the record whose scan
-        found it (in a single-writer run, the one whose entries it sits
-        between).
+        found it (the one whose entries it sits between).  A decision
+        whose endpoint has no record line here and no snapshot record
+        raises :class:`~repro.faults.journal.JournalError`.
         """
         from repro.faults.journal import JournalError
 
@@ -933,53 +914,61 @@ class ResolutionStore:
                     f"{path}: unknown journal entry type {kind!r}",
                     path=path,
                 )
-        with self._lock:
-            fresh: set[str] = set()
-            for record in records:
-                record_id = record.record_id
-                if record_id in self._records or record_id in fresh:
-                    raise JournalError(
-                        f"{path}: record {record_id!r} journaled twice",
-                        path=path,
-                    )
-                fresh.add(record_id)
-            # One bulk index build; the loop below keeps the per-record
-            # union-find and must-link order of a live ingest.
-            self._index.add_many(
-                (record.record_id, record.description) for record in records
-            )
-            for record in records:
-                self._records[record.record_id] = record
-                self._uf.add(record.record_id)
-                for partner in self._must_by_member.get(record.record_id, ()):
-                    if partner in self._records:
-                        self._uf.union(record.record_id, partner)
-            for a, b in must_pairs:
-                self._apply_must_link(a, b)
-            unfinished = [
-                r for r in (*pending, *records) if r.record_id not in committed
-            ]
-            arrival = {record.record_id: i for i, record in enumerate(records)}
-            carried: dict[str, list[tuple[str, bool]]] = {
-                r.record_id: [] for r in unfinished
-            }
-            for decision in decisions:
-                self._decisions.append(decision)
-                self._compared.add(decision.key)
-                owner = max(
-                    decision.key, key=lambda rid: arrival.get(rid, -1)
+        fresh: set[str] = set()
+        for record in records:
+            record_id = record.record_id
+            if record_id in self._records or record_id in fresh:
+                raise JournalError(
+                    f"{path}: record {record_id!r} journaled twice",
+                    path=path,
                 )
-                if owner in carried:
-                    # An unfinished record's matches join the union-find
-                    # when _finish completes it, as in a live ingest.
-                    left, right = decision.key
-                    partner = right if owner == left else left
-                    carried[owner].append((partner, decision.match))
-                elif self.mode == "transitive" and decision.match:
-                    self._uf.union(decision.left, decision.right)
-            self.engine_calls += len(decisions)
-            self.short_circuited += skipped
-            self._committed |= committed
+            fresh.add(record_id)
+        # One bulk index build; the loop below keeps the per-record
+        # union-find and must-link order of a live ingest.
+        self._index.add_many(
+            (record.record_id, record.description) for record in records
+        )
+        for record in records:
+            self._records[record.record_id] = record
+            self._uf.add(record.record_id)
+            for partner in self._must_by_member.get(record.record_id, ()):
+                if partner in self._records:
+                    self._uf.union(record.record_id, partner)
+        for a, b in must_pairs:
+            self._apply_must_link(a, b)
+        unfinished = [
+            r for r in (*pending, *records) if r.record_id not in committed
+        ]
+        #: journal position of each record line; snapshot records rank -1.
+        arrival = {record.record_id: i for i, record in enumerate(records)}
+        carried: dict[str, list[tuple[str, bool]]] = {
+            r.record_id: [] for r in unfinished
+        }
+        for decision in decisions:
+            key = left, right = decision.key
+            at_left = arrival.get(left, -1)
+            at_right = arrival.get(right, -1)
+            if (at_left < 0 and left not in self._records) or (
+                at_right < 0 and right not in self._records
+            ):
+                raise JournalError(
+                    f"{path}: decision {key!r} names a record with no "
+                    f"record line or snapshot record",
+                    path=path,
+                )
+            self._decisions.append(decision)
+            self._compared.add(key)
+            owner = right if at_right > at_left else left
+            if owner in carried:
+                # An unfinished record's matches join the union-find
+                # when _finish completes it, as in a live ingest.
+                partner = right if owner == left else left
+                carried[owner].append((partner, decision.match))
+            elif self.mode == "transitive" and decision.match:
+                self._uf.union(left, right)
+        self.engine_calls += len(decisions)
+        self.short_circuited += skipped
+        self._committed |= committed
         return [(r, carried[r.record_id]) for r in unfinished]
 
     def _finish(
@@ -994,19 +983,24 @@ class ResolutionStore:
         (never journaled) are re-examined and re-skipped, so the commit
         entry and the store-level totals match an uninterrupted run's.
         """
-        candidates, calls, skipped = self._decide_candidates(record, carried)
-        if self._journal is not None:
-            self._journal.append(
-                {
-                    "type": "commit",
-                    "record_id": record.record_id,
-                    "candidates": candidates,
-                    "engine_calls": calls,
-                    "short_circuited": skipped,
-                }
+        self._ingesting = True
+        try:
+            candidates, calls, skipped = self._decide_candidates(
+                record, carried
             )
-        with self._lock:
-            self._committed.add(record.record_id)
+            if self._journal is not None:
+                self._journal.append(
+                    {
+                        "type": "commit",
+                        "record_id": record.record_id,
+                        "candidates": candidates,
+                        "engine_calls": calls,
+                        "short_circuited": skipped,
+                    }
+                )
+        finally:
+            self._ingesting = False
+        self._committed.add(record.record_id)
         return candidates, calls, skipped
 
     # --------------------------------------------------------------- read-outs
@@ -1018,9 +1012,8 @@ class ResolutionStore:
         O(1); otherwise the authoritative (constraint-respecting)
         clustering is recomputed from the decision log.
         """
-        with self._lock:
-            if self.mode == "transitive" and not self.cannot_link:
-                return self._uf.find(record_id), self._uf.size_of(record_id)
+        if self.mode == "transitive" and not self.cannot_link:
+            return self._uf.find(record_id), self._uf.size_of(record_id)
         cluster = self.clustering().cluster_of(record_id)
         return cluster[0], len(cluster)
 
@@ -1028,34 +1021,27 @@ class ResolutionStore:
         self, pairs: tuple[tuple[str, str], ...]
     ) -> tuple[tuple[str, str], ...]:
         """Constraints whose endpoints have both been ingested."""
-        with self._lock:
-            return tuple(
-                (a, b) for a, b in pairs
-                if a in self._records and b in self._records
-            )
+        return tuple(
+            (a, b) for a, b in pairs
+            if a in self._records and b in self._records
+        )
 
     def clustering(self) -> Clustering:
         """The current entity partition over every ingested record."""
-        with self._lock:
-            elements = tuple(self._records)
-            decisions = tuple(self._decisions)
         must = self._present_constraints(self.must_link)
         cannot = self._present_constraints(self.cannot_link)
         return cluster(
-            self.mode, elements, decisions, must, cannot, self.min_agreement
+            self.mode, tuple(self._records), self._decisions, must, cannot,
+            self.min_agreement,
         )
 
     def golden_records(self) -> dict[str, Record]:
         """Cluster id → golden record for the current partition."""
-        clustering = self.clustering()
-        with self._lock:
-            records = dict(self._records)
-        return golden_records(clustering, records)
+        return golden_records(self.clustering(), self._records)
 
     def decisions(self) -> tuple[PairDecision, ...]:
         """Every engine decision so far, in canonical sorted order."""
-        with self._lock:
-            return tuple(sorted(self._decisions, key=lambda d: (d.key, d.source)))
+        return tuple(sorted(self._decisions, key=lambda d: (d.key, d.source)))
 
     def decision_log(self) -> tuple[PairDecision, ...]:
         """Every engine decision so far, in append (journal) order.
@@ -1064,12 +1050,10 @@ class ResolutionStore:
         skipping the canonical sort makes this the cheap accessor for
         bulk consumers such as benchmarks that walk the whole history.
         """
-        with self._lock:
-            return tuple(self._decisions)
+        return tuple(self._decisions)
 
     def records(self) -> tuple[Record, ...]:
         """Ingested records, sorted by record id."""
-        with self._lock:
-            return tuple(
-                self._records[record_id] for record_id in sorted(self._records)
-            )
+        return tuple(
+            self._records[record_id] for record_id in sorted(self._records)
+        )

@@ -1,5 +1,7 @@
 """Crash/recovery: journaled runs resume byte-identical after being killed."""
 
+import json
+
 import pytest
 
 from repro.datasets.schema import Split
@@ -101,6 +103,27 @@ class TestTornTailRecovery:
         # Silently appending a second run would interleave two histories.
         with pytest.raises(ValueError, match="recover"):
             ResolutionStore(make_engine(), journal=path)
+
+
+class TestDecisionEndpoints:
+    def test_a_decision_on_an_unjournaled_record_is_rejected(self, tmp_path):
+        """Record b, a decision on (a, b), b's commit: a has no line."""
+        path = tmp_path / "wal.jsonl"
+        entries = [
+            {"type": "header", "version": journal.JOURNAL_VERSION,
+             "kind": "resolve", "mode": "transitive",
+             "index": "TokenCandidateIndex"},
+            {"type": "record", "record_id": "b", "description": "widget b",
+             "attributes": {}},
+            {"type": "decision", "left": "a", "right": "b", "match": True,
+             "score": 1.0, "source": "backend"},
+            {"type": "commit", "record_id": "b", "candidates": 1,
+             "engine_calls": 1, "short_circuited": 0},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        with pytest.raises(journal.JournalError, match="no record line") as info:
+            ResolutionStore.recover(path, make_engine())
+        assert info.value.path == path
 
 
 class TestOneParse:

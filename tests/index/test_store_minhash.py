@@ -8,9 +8,6 @@ the injected candidate index for :class:`repro.index
 MinHash/LSH predicate actually is one.
 """
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro._util import derive_rng
@@ -78,35 +75,6 @@ class TestOrderInvariance:
         shortcut.ingest_all(records)
 
         assert shortcut.clustering() == exhaustive.clustering()
-
-
-class TestConcurrentIngest:
-    def test_concurrent_adds_merge_completely(self):
-        """Eight writers through one store lose no posting.
-
-        The index has no lock of its own; the store's lock guards every
-        call into it, so parallel ingestion must index exactly what a
-        sequential run indexes.
-        """
-        records = _records(n=120, seed=9)
-        sequential = _store(short_circuit=False)
-        sequential.ingest_all(records)
-        concurrent = _store(short_circuit=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(concurrent.ingest, records, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        assert concurrent._index.stats() == sequential._index.stats()
-        for record in records:
-            assert concurrent._index.candidates(
-                record.description, exclude=record.record_id
-            ) == sequential._index.candidates(
-                record.description, exclude=record.record_id
-            )
-        assert concurrent.clustering() == sequential.clustering()
 
 
 class TestParityWithExhaustiveResolution:

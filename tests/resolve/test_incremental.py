@@ -7,15 +7,13 @@ symmetric in (left, right): exactly the property the store's canonical
 pair orientation must neutralize.
 """
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro._util import derive_rng
 from repro.datasets.schema import Record
 from repro.engine import MatchingEngine
 from repro.engine.engine import MatchResult
+from repro.faults.journal import JournalWriter
 from repro.resolve import (
     ResolutionStore,
     TokenCandidateIndex,
@@ -121,17 +119,6 @@ class TestIngestion:
             == exhaustive.engine_calls
         )
 
-    def test_concurrent_ingestion_matches_sequential(self):
-        records = _records(12)
-        sequential = _store(short_circuit=False)
-        sequential.ingest_all(records)
-
-        concurrent = _store(short_circuit=False)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(concurrent.ingest, records))
-        assert concurrent.clustering() == sequential.clustering()
-        assert len(concurrent) == 12
-
 
 class TestIngestResultCluster:
     """``IngestResult.cluster_id``/``cluster_size`` read the live component."""
@@ -181,25 +168,6 @@ class _CountingIndex(TokenCandidateIndex):
         return super().candidates(description, exclude=exclude)
 
 
-class _ArrivalEngine:
-    """Engine whose first ``match_pairs`` call ingests one more record.
-
-    The arrival lands while the store is deciding another record's
-    chunk, outside the store lock — what a concurrent writer does.
-    """
-
-    def __init__(self, arrival: Record) -> None:
-        self.inner = MatchingEngine(backend=JaccardBackend())
-        self.arrival: Record | None = arrival
-        self.store: ResolutionStore | None = None
-
-    def match_pairs(self, pairs):
-        if self.arrival is not None:
-            arrival, self.arrival = self.arrival, None
-            self.store.ingest(arrival)
-        return self.inner.match_pairs(pairs)
-
-
 class TestIndexQueries:
     def test_one_query_per_ingest_below_chunk_size(self):
         index = _CountingIndex()
@@ -231,92 +199,93 @@ class TestIndexQueries:
         keys = [d.key for d in store.decisions()]
         assert len(keys) == len(set(keys)) == 16 * 15 // 2
 
-    def test_a_record_arriving_mid_decision_is_still_compared(self):
+
+class _ArrivalEngine:
+    """Engine whose first ``match_pairs`` call ingests one more record.
+
+    The nested ingest starts while the store is deciding another
+    record's chunk: a second writer inside the first.
+    """
+
+    def __init__(self, arrival: Record) -> None:
+        self.inner = MatchingEngine(backend=JaccardBackend())
+        self.arrival: Record | None = arrival
+        self.store: ResolutionStore | None = None
+
+    def match_pairs(self, pairs):
+        if self.arrival is not None:
+            arrival, self.arrival = self.arrival, None
+            self.store.ingest(arrival)
+        return self.inner.match_pairs(pairs)
+
+
+class TestOneWriter:
+    def test_a_reentrant_ingest_raises(self):
         early = [
             Record(record_id=f"e{i}", attributes={},
                    description=f"widget {group} series")
-            for i, group in enumerate(GROUPS[:3])
+            for i, group in enumerate(GROUPS[:2])
         ]
-        probe = Record(record_id="p", attributes={},
-                       description="widget delta series pro")
         arrival = Record(record_id="a", attributes={},
-                         description="widget delta series pro max")
+                         description="widget delta series")
         engine = _ArrivalEngine(arrival)
-        index = _CountingIndex()
-        store = ResolutionStore(engine, index=index, short_circuit=False)
+        store = ResolutionStore(engine, short_circuit=False)
         engine.store = store
-        # e0 has no candidates, so e1's chunk is the first engine call.
-        store.ingest_all([*early, probe])
+        store.ingest(early[0])  # no candidates yet, so no engine call
+        with pytest.raises(RuntimeError, match="one writer"):
+            store.ingest(early[1])
+        # The nested ingest touched nothing, and the store takes the
+        # next write once the failed one has unwound.
+        assert "a" not in store
+        assert store._index.candidates(arrival.description) == ("e0", "e1")
+        assert store.ingest(arrival).candidates == 2
 
-        serial = ResolutionStore(
-            MatchingEngine(backend=JaccardBackend()), short_circuit=False
+    def test_a_closed_journaled_store_refuses_writes(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        records = _records(3)
+        store = _store(journal=path)
+        store.ingest_all(records[:2])
+        store.close()
+        journal = path.read_bytes()
+        with pytest.raises(ValueError, match="closed"):
+            store.ingest(records[2])
+        with pytest.raises(ValueError, match="closed"):
+            store.add_must_link("r00", "r01")
+        assert store.records() == tuple(records[:2])
+        assert store.must_link == ()
+        assert path.read_bytes() == journal
+        assert len(store.clustering().elements) == 2  # reads still work
+
+    def test_a_failed_record_append_leaves_the_store_untouched(
+        self, tmp_path, monkeypatch
+    ):
+        records = _records(4)
+        clean_path = tmp_path / "clean.jsonl"
+        with _store(journal=clean_path) as clean:
+            clean.ingest_all(records)
+        path = tmp_path / "wal.jsonl"
+        store = _store(journal=path)
+        store.ingest_all(records[:2])
+        append = JournalWriter.append
+        failed = []
+
+        def append_failing_once(writer, entry):
+            if entry["type"] == "record" and not failed:
+                failed.append(entry["record_id"])
+                raise OSError("no space left on device")
+            append(writer, entry)
+
+        monkeypatch.setattr(JournalWriter, "append", append_failing_once)
+        with pytest.raises(OSError):
+            store.ingest(records[2])
+        assert failed == ["r02"]
+        assert "r02" not in store
+        assert store._index.candidates(records[2].description) == (
+            "r00", "r01"
         )
-        serial.ingest_all([*early[:2], arrival, early[2], probe])
-
-        # The arrival landed during e1's decisions, after e1's scan, so
-        # e1 re-scanned once; every pair is still decided exactly once.
-        assert index.queries[early[1].description] == 2
-        assert index.queries[probe.description] == 1
-        keys = [d.key for d in store.decisions()]
-        assert len(keys) == len(set(keys)) == 5 * 4 // 2
-        assert ("a", "e1") in keys
-        assert store.decisions() == serial.decisions()
-        assert store.clustering() == serial.clustering()
-        assert store.clustering().cluster_of("p") == ("a", "p")
-
-    def test_many_writers_decide_every_pair_once(self):
-        """Stress: more writers than cores, tiny switch interval.
-
-        A writer stops re-scanning only when its last scan was complete
-        and no record arrived since; a lost arrival would leave a pair
-        undecided and change the decision set.
-        """
-        records = _records(40)
-        serial = _store(short_circuit=False)
-        serial.ingest_all(records)
-        store = _store(short_circuit=False)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(store.ingest, r) for r in records]
-                for future in futures:
-                    future.result(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        keys = [d.key for d in store.decisions()]
-        assert len(keys) == len(set(keys)) == 40 * 39 // 2
-        assert store.decisions() == serial.decisions()
-        assert store.clustering() == serial.clustering()
-
-    def test_many_writers_with_short_circuiting_keep_the_clustering(self):
-        """The same stress with representative-first scoring on.
-
-        A writer's matches reach the union-find only after its last
-        answer, so concurrent writers see fewer connections and may ask
-        more pairs; they must still claim every pair exactly once and
-        land on the serial clustering.
-        """
-        records = _records(40)
-        serial = _store(short_circuit=False)
-        serial.ingest_all(records)
-        store = _store(short_circuit=True)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(store.ingest, r) for r in records]
-                results = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        keys = [d.key for d in store.decisions()]
-        assert len(keys) == len(set(keys))
-        assert (
-            store.engine_calls + store.short_circuited
-            == sum(r.candidates for r in results)
-            == 40 * 39 // 2
-        )
-        assert store.clustering() == serial.clustering()
+        store.ingest_all(records[2:])  # the retry goes through
+        store.close()
+        assert path.read_bytes() == clean_path.read_bytes()
 
 
 class TestConstraintsAndModes:

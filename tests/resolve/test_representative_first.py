@@ -104,7 +104,8 @@ def test_a_kill_at_any_probe_entry_resumes_byte_identically(
     """Cut the journal after each probe entry, recover, and finish.
 
     Every entry is fsynced before the next one is written, so a journal
-    prefix is exactly what a kill leaves on disk.
+    prefix is exactly what a kill leaves on disk.  At every prefix the
+    recovered clusters hold only recovered records.
     """
     journal, snapshot = _uninterrupted(tmp_path, chunk_size)
     lines = journal.splitlines(keepends=True)
@@ -127,6 +128,8 @@ def test_a_kill_at_any_probe_entry_resumes_byte_identically(
         with ResolutionStore.recover(
             path, _engine(), must_link=MUST_LINK, chunk_size=chunk_size
         ) as store:
+            clustered = {rid for c in store.clustering().clusters for rid in c}
+            assert clustered == {r.record_id for r in store.records()}, cut
             _ingest(store)
             state = store.snapshot(tmp_path / f"killed-{cut}.state")
         assert path.read_bytes() == journal, f"journal differs after {cut}"

@@ -206,14 +206,27 @@ class TestQuiescence:
             store.snapshot()
 
     def test_snapshot_refuses_inflight_ingest(self, tmp_path):
-        store = journaled_store(tmp_path / "wal.jsonl")
-        store.ingest_all(synthetic_records(4))
-        store._inflight = 1  # simulate a concurrent ingest mid-call
+        """A snapshot taken from inside an engine call is refused."""
+        refusals = []
+
+        class SnapshottingEngine:
+            def __init__(self):
+                self.inner = make_engine()
+
+            def match_pairs(self, pairs):
+                with pytest.raises(ValueError, match="quiescent") as info:
+                    store.snapshot()
+                refusals.append(info.value)
+                return self.inner.match_pairs(pairs)
+
+        path = tmp_path / "wal.jsonl"
+        store = ResolutionStore(SnapshottingEngine(), journal=path)
         try:
-            with pytest.raises(ValueError, match="quiescent"):
-                store.snapshot()
+            store.ingest_all(synthetic_records(4))
+            assert refusals  # the engine was asked, and refused each time
+            assert not snapshot_path_for(path).exists()
+            store.snapshot()  # quiescent again once ingest returned
         finally:
-            store._inflight = 0
             store.close()
 
 
@@ -296,6 +309,23 @@ class TestValidation:
         write_snapshot_doc(snap_path, doc)
         with pytest.raises(JournalError, match="basis"):
             ResolutionStore.recover(path, make_engine())
+
+    def test_decision_on_a_missing_record_rejected(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        store = journaled_store(path)
+        store.ingest_all(synthetic_records(6))
+        store.snapshot()
+        store.close()
+        snap_path = snapshot_path_for(path)
+        doc = json.loads(snap_path.read_text())
+        dropped = doc["decisions"][0]["left"]
+        doc["records"] = [
+            r for r in doc["records"] if r["record_id"] != dropped
+        ]
+        write_snapshot_doc(snap_path, doc)
+        with pytest.raises(JournalError, match="does not hold") as info:
+            ResolutionStore.recover(path, make_engine())
+        assert info.value.path == snap_path
 
 
 class TestComponentsField:
