@@ -4,7 +4,7 @@ A WDC-style workload with repeated candidate pairs (online matching sees
 the same hot pairs again and again — think head products re-checked on
 every catalog update) is pushed through (a) the plain sequential
 ``ChatModel.complete`` loop and (b) the :class:`MatchingEngine` with its
-micro-batching scheduler and result cache.  Reports pairs/sec for both
+micro-batching and result cache.  Reports pairs/sec for both
 paths, the speedup, and the engine's cache hit rate, as text and as JSON.
 Both paths must give the same answers.
 

@@ -30,7 +30,7 @@ from repro.eval.metrics import f1_score
 from repro.eval.reports import format_table
 from repro.faults import FaultPlan, build_chaos_engine
 
-from benchmarks._output import emit, emit_json, publish
+from benchmarks._output import publish
 
 MODEL = "llama-3.1-8b"
 RATES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -122,8 +122,7 @@ def test_fault_degradation(benchmark):
     )
     faulted = payload["rates"][-1]
     assert sum(faulted["injected"].values()) > 0  # injection must engage
-    emit_json("bench_faults", payload)
-    emit("bench_faults", _render(payload))
+    publish("bench_faults", payload, _render(payload), smoke=True)
 
 
 def main(argv: list[str] | None = None) -> int:

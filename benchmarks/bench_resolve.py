@@ -45,7 +45,7 @@ from repro.resolve import (
     split_records,
 )
 
-from benchmarks._output import emit, emit_json, publish
+from benchmarks._output import publish
 
 MODEL = "llama-3.1-8b"
 FULL_PAIRS = 400
@@ -248,8 +248,7 @@ def test_resolve_short_circuit(benchmark):
     # minhash's top-k graph is deliberately sparse and only develops
     # redundant (co-clustered) pairs at the full workload size.
     assert payload["blockers"]["token"]["short_circuited"] > 0
-    emit_json("bench_resolve", payload)
-    emit("bench_resolve", _render(payload))
+    publish("bench_resolve", payload, _render(payload), smoke=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,13 +1,19 @@
 """Gateway saturation: latency and goodput vs offered load.
 
 A seeded open-loop Poisson workload (WDC test pairs, two tenants) is
-replayed against the threaded request gateway at swept offered loads and
-worker counts.  For each point the benchmark reports p50/p99
+replayed against the threaded request gateway (one dispatch thread) at
+swept offered loads.  For each point the benchmark reports p50/p99
 schedule-to-completion latency, goodput (answered requests per second),
 and how many requests were degraded or shed — the saturation curve: flat
 latency while capacity holds, then the queue fills, latency climbs, and
 the gateway starts answering from the threshold baseline instead of
 collapsing.
+
+One replay drains a few hundred requests in a fraction of a second, so
+a single run is noise-bound: a full run replays each offered load
+``FULL_RUNS`` times, each on a fresh router and gateway, and reports the
+median and the min–max of goodput, p50, p99 and degraded.  A smoke run
+replays each load once.
 
 Every point also re-checks the gateway's conservation invariants
 (funnel + engine reconciliation), and the run ends with the gateway
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import statistics
 import time
 
 from repro.datasets.registry import load_dataset
@@ -39,13 +46,17 @@ from repro.serve import (
     summarize,
 )
 
-from benchmarks._output import emit, emit_json, publish
+from benchmarks._output import publish
 
 MODEL = "llama-3.1-8b"
 OFFERED_LOADS = (500.0, 2000.0, 8000.0)
-WORKER_COUNTS = (1, 4)
 FULL_REQUESTS = 400
 SMOKE_REQUESTS = 120
+#: replays per offered load: full runs are noise-bound one at a time.
+FULL_RUNS = 5
+SMOKE_RUNS = 1
+#: per-run values each point reports as median and min–max.
+SPREAD_METRICS = ("goodput", "p50", "p99", "degraded")
 BATCH_SIZE = 16
 QUEUE_CAPACITY = 64
 TENANTS = 2
@@ -57,9 +68,7 @@ def _pairs():
     return load_dataset("wdc-small").test.pairs
 
 
-async def _run_point(
-    workers: int, offered_load: float, requests: int
-) -> dict[str, object]:
+async def _run_once(offered_load: float, requests: int) -> dict[str, object]:
     profile = LoadProfile(
         offered_load=offered_load,
         requests=requests,
@@ -78,7 +87,7 @@ async def _run_point(
         router,
         queue_capacity=QUEUE_CAPACITY,
         batch_size=BATCH_SIZE,
-        workers=workers,
+        workers=1,
     )
     async with gateway:
         outcomes = await replay(
@@ -90,12 +99,37 @@ async def _run_point(
     assert not violations, violations
     stats = gateway.stats.as_dict()
     return {
-        "workers": workers,
-        "offered_load": offered_load,
         **summary,
         "degraded": stats["total"]["degraded"],
         "shed": stats["total"]["shed"],
         "queue_high_water": stats["queue_high_water"],
+    }
+
+
+def _spread(values: list) -> dict[str, float]:
+    return {
+        "median": statistics.median(values),
+        "min": min(values),
+        "max": max(values),
+    }
+
+
+def _run_point(offered_load: float, requests: int, runs: int) -> dict:
+    """Replay one offered load *runs* times, each on a fresh gateway."""
+    replays = [asyncio.run(_run_once(offered_load, requests))
+               for _ in range(runs)]
+    values = {
+        "goodput": [r["goodput"] for r in replays],
+        "p50": [r["latency"].get("p50", 0.0) for r in replays],
+        "p99": [r["latency"].get("p99", 0.0) for r in replays],
+        "degraded": [r["degraded"] for r in replays],
+    }
+    return {
+        "offered_load": offered_load,
+        "runs": replays,
+        **{name: _spread(values[name]) for name in SPREAD_METRICS},
+        "shed": max(r["shed"] for r in replays),
+        "queue_high_water": max(r["queue_high_water"] for r in replays),
     }
 
 
@@ -119,79 +153,91 @@ def run_chaos_gate(requests: int) -> list[dict[str, object]]:
     ]
 
 
-def run_saturation(requests: int) -> dict[str, object]:
-    """Sweep the full (workers x offered load) grid, then the chaos gate."""
+def run_saturation(requests: int, runs: int) -> dict[str, object]:
+    """Sweep the offered loads, *runs* replays each, then the chaos gate."""
     # Warm the (process-cached) model and dataset once, so the first grid
     # point doesn't charge construction cost to its latency percentiles.
     pair = _pairs()[0]
     MatchingEngine.for_model(MODEL).match_pairs(
         [(pair.left.description, pair.right.description)]
     )
-    points = [
-        asyncio.run(_run_point(workers, load, requests))
-        for workers in WORKER_COUNTS
-        for load in OFFERED_LOADS
-    ]
+    points = [_run_point(load, requests, runs) for load in OFFERED_LOADS]
     return {
         "model": MODEL,
         "requests": requests,
+        "runs": runs,
         "tenants": TENANTS,
         "seed": SEED,
         "batch_size": BATCH_SIZE,
         "queue_capacity": QUEUE_CAPACITY,
         "offered_loads": list(OFFERED_LOADS),
-        "worker_counts": list(WORKER_COUNTS),
         "points": points,
         "chaos": run_chaos_gate(requests),
     }
 
 
+def _cell(spread: dict, fmt) -> str:
+    """``median (min–max)``; a single run shows its value alone."""
+    if spread["min"] == spread["max"]:
+        return fmt(spread["median"])
+    return (f"{fmt(spread['median'])} "
+            f"({fmt(spread['min'])}–{fmt(spread['max'])})")
+
+
 def _render(payload: dict[str, object]) -> str:
-    rows = []
-    for point in payload["points"]:
-        latency = point["latency"]
-        rows.append(
-            [
-                point["workers"],
-                f"{point['offered_load']:,.0f}",
-                f"{point['goodput']:,.0f}",
-                f"{latency.get('p50', 0.0) * 1e3:.2f}ms",
-                f"{latency.get('p99', 0.0) * 1e3:.2f}ms",
-                point["degraded"],
-                point["shed"],
-                point["queue_high_water"],
-            ]
-        )
+    def rate(value):
+        return f"{value:,.0f}"
+
+    def ms(value):
+        return f"{value * 1e3:.2f}ms"
+
+    rows = [
+        [
+            rate(point["offered_load"]),
+            _cell(point["goodput"], rate),
+            _cell(point["p50"], ms),
+            _cell(point["p99"], ms),
+            _cell(point["degraded"], rate),
+            point["shed"],
+            point["queue_high_water"],
+        ]
+        for point in payload["points"]
+    ]
     return format_table(
-        ["workers", "offered req/s", "goodput req/s", "p50", "p99",
-         "degraded", "shed", "queue hw"],
+        ["offered req/s", "goodput req/s", "p50", "p99", "degraded",
+         "shed (max)", "queue hw (max)"],
         rows,
         title=(
-            f"Gateway saturation ({payload['model']}, "
-            f"{payload['requests']} requests/point, "
-            f"{payload['tenants']} tenants, seed {payload['seed']})"
+            f"Gateway saturation ({payload['model']}, one dispatch thread, "
+            f"{payload['requests']} requests/point, median (min–max) of "
+            f"{payload['runs']} run(s), {payload['tenants']} tenants, "
+            f"seed {payload['seed']})"
         ),
     )
 
 
 def test_serve_saturation(benchmark):
     payload = benchmark.pedantic(
-        lambda: run_saturation(SMOKE_REQUESTS), rounds=1, iterations=1
+        lambda: run_saturation(SMOKE_REQUESTS, SMOKE_RUNS),
+        rounds=1, iterations=1,
     )
     assert all(entry["ok"] for entry in payload["chaos"])
-    emit_json("bench_serve_saturation", payload)
-    emit("bench_serve_saturation", _render(payload))
+    publish("bench_serve_saturation", payload, _render(payload), smoke=True)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help=f"small CI workload ({SMOKE_REQUESTS} requests per point "
-        f"instead of {FULL_REQUESTS})",
+        help=f"small CI workload ({SMOKE_REQUESTS} requests per point, "
+        f"{SMOKE_RUNS} run, instead of {FULL_REQUESTS} requests and "
+        f"{FULL_RUNS} runs)",
     )
     args = parser.parse_args(argv)
-    payload = run_saturation(SMOKE_REQUESTS if args.smoke else FULL_REQUESTS)
+    if args.smoke:
+        payload = run_saturation(SMOKE_REQUESTS, SMOKE_RUNS)
+    else:
+        payload = run_saturation(FULL_REQUESTS, FULL_RUNS)
     publish(
         "bench_serve_saturation", payload, _render(payload), smoke=args.smoke
     )

@@ -948,7 +948,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import math
 
     from repro.engine import MatchingEngine, ResultCache
-    from repro.engine.scheduler import Scheduler
     from repro.faults.clock import ManualClock
     from repro.serve import (
         AdmissionController,
@@ -965,15 +964,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.chaos:
         return _cmd_serve_chaos(args)
 
-    # Simulated time end to end (arrivals, deadlines, token buckets,
-    # scheduler flushes), so the whole session — JSON output included —
+    # Simulated time end to end (arrivals, deadlines, token buckets), so the whole session — JSON output included —
     # is byte-identical across runs and machines.
     clock = ManualClock()
     router = PersonaRouter(
         engine_factory=lambda name: MatchingEngine.for_model(
             name,
             batch_size=args.batch_size,
-            scheduler=Scheduler(max_batch_size=args.batch_size, clock=clock),
             cache=ResultCache(max_size=4096),
         ),
     )

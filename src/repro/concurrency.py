@@ -33,9 +33,9 @@ declarative conventions:
   the order its release method must tear them down in::
 
       class Gateway:
-          __shutdown_order__ = shutdown_order("_cv", "_threads")
+          __shutdown_order__ = shutdown_order("_cv", "_thread")
 
-  Read as "drain/notify ``_cv`` before joining ``_threads``"; the
+  Read as "drain/notify ``_cv`` before joining ``_thread``"; the
   ``deep-shutdown-order`` rule checks the release events in ``close`` /
   ``shutdown`` / ``stop`` / ``__exit__`` against the declared sequence.
 

@@ -5,8 +5,8 @@ in-process inference and the asynchronous batch API.  This package adds
 the online layer a production matcher needs on top of them: a
 :class:`MatchingEngine` that deduplicates and normalizes incoming match
 requests, serves repeats from a bounded LRU+TTL :class:`ResultCache`,
-micro-batches cache misses through a :class:`Scheduler` (flush on batch
-size or wait deadline), and calls the backends through a
+micro-batches cache misses (flush at the batch size, drain at the end of
+a call), and calls the backends through a
 :class:`RetryPolicy` with a :class:`CircuitBreaker` that degrades to the
 classical threshold matcher while a backend is unhealthy.  Every stage
 reports into :class:`EngineStats` so benchmarks can measure throughput,
@@ -29,14 +29,12 @@ from repro.engine.retry import (
     RetryPolicy,
     run_with_retry,
 )
-from repro.engine.scheduler import Batch, Scheduler
 from repro.engine.stats import EngineStats
 
 __all__ = [
     "Backend",
     "BackendError",
     "BackendTimeout",
-    "Batch",
     "BatchAPIBackend",
     "CircuitBreaker",
     "CircuitOpenError",
@@ -46,7 +44,6 @@ __all__ = [
     "MatchingEngine",
     "ResultCache",
     "RetryPolicy",
-    "Scheduler",
     "make_backend",
     "run_with_retry",
 ]

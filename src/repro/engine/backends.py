@@ -52,8 +52,8 @@ class LocalBackend:
     :meth:`~repro.llm.model.ChatModel.complete_batch` call.  The backend
     owns the memo of its model calls, so descriptions are featurized
     once per backend and the views are dropped with it.  A pair's logit
-    has the same bits in any micro-batch, so the engine's scheduler may
-    cut the batches any way it likes.
+    has the same bits in any micro-batch, so the engine may cut the
+    batches any way it likes.
     """
 
     model: ChatModel

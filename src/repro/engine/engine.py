@@ -1,16 +1,16 @@
-"""The online matching engine (safe under concurrent callers).
+"""The online matching engine (one caller at a time).
 
 Request lifecycle::
 
     match request (pair of descriptions)
       → normalize + render prompt
       → ResultCache lookup  ──hit──→ answer
-      → in-flight dedup (identical prompts share one backend slot,
-        across threads as well as within one call)
-      → Scheduler (micro-batch: flush on size / deadline / drain)
+      → in-call dedup (identical prompts in one call share one slot)
+      → micro-batch: flush at ``batch_size`` unique prompts, and drain
+        the remainder when the call runs out of input
       → Backend.generate under RetryPolicy + CircuitBreaker
           ──exhausted / circuit open──→ threshold-baseline fallback
-      → parse answer, fill cache, resolve waiters, update EngineStats
+      → parse answer, fill cache, resolve the call's slots, update EngineStats
 
 The engine accepts ad-hoc description pairs, labelled
 :class:`~repro.datasets.schema.EntityPair` objects, whole splits, and
@@ -19,31 +19,28 @@ candidate streams from :mod:`repro.blocking`.  Descriptions taken from
 bit-identical to the evaluator's sequential path); raw string input is
 whitespace-normalized first, since online callers send unsanitized text.
 
-Thread-safety model: :meth:`MatchingEngine.match_pairs` may be called
-from any number of threads.  One re-entrant engine lock guards the
-scheduler and the in-flight table (both cheap, pure-data operations);
-the cache, stats, and circuit breaker carry their own locks.  Backend
-dispatch — the only blocking work — always happens *outside* every lock:
-a flushed batch is handed to whichever thread triggered the flush, and
-other threads waiting on a prompt in that batch block on the pending
-slot's event, not on a lock.  Each caller drains the scheduler before
-waiting, so every submitted prompt is guaranteed to be dispatched by
-someone.  The ``@guarded_by`` declarations below are enforced by
-``repro-em lint --deep``.
+One caller: an engine serves one :meth:`MatchingEngine.match_pairs` call
+at a time, like a ``dict``, and takes no lock.  Its callers (the
+evaluator, the resolution store's one writer, the gateway's one dispatch
+thread or inline pump) never call it concurrently.  Each call cuts and
+dispatches its own micro-batches and drains them before it returns, so
+the in-flight table is local to the call and nothing is left pending
+between calls, even when an exception escapes a dispatch.  A call that
+starts while another is running (a backend that calls back into its
+engine, or a second thread) raises ``RuntimeError`` instead of
+interleaving.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Annotated, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.baselines.threshold import ThresholdMatcher
 from repro.blocking.base import BlockingResult
-from repro.concurrency import guarded_by
 from repro.datasets.schema import EntityPair, Record, Split
 from repro.engine.backends import Backend, make_backend
 from repro.engine.cache import ResultCache
@@ -55,7 +52,6 @@ from repro.engine.retry import (
     RetryPolicy,
     run_with_retry,
 )
-from repro.engine.scheduler import Batch, Scheduler
 from repro.engine.stats import EngineStats
 from repro.llm.model import ChatModel
 from repro.llm.parsing import parse_yes_no
@@ -80,20 +76,13 @@ class MatchResult:
 
 @dataclass
 class _Pending:
-    """One unique prompt's shared slot: submitted once, awaited by many.
+    """One unique prompt's slot within a call: dispatched once, claimed
+    by every request of the call that renders to it."""
 
-    Mutable fields are written exactly once, by the dispatching thread,
-    before ``event`` is set; waiters only read them after :meth:`wait`
-    returns, so the event provides the necessary happens-before edge.
-    ``claims`` counts the requests (across all threads) answered by this
-    slot and is only touched under the engine lock.
-    """
-
-    key: str
     prompt: str
     left: str
     right: str
-    event: threading.Event = field(default_factory=threading.Event)
+    #: requests of the call answered by this slot.
     claims: int = 0
     response: str | None = None
     decision: bool = False
@@ -103,38 +92,30 @@ class _Pending:
         self.response = response
         self.decision = decision
         self.source = source
-        self.event.set()
-
-    def wait(self) -> None:
-        self.event.wait()
 
 
 class MatchingEngine:
     """Cache-, batch-, and failure-aware front end over a model backend."""
-
-    #: unique prompt key → shared pending slot (dedup across threads).
-    _in_flight: Annotated["dict[str, _Pending]", guarded_by("_lock")]
-    #: micro-batching scheduler; pure data structure, engine-lock-guarded.
-    scheduler: Annotated[Scheduler, guarded_by("_lock")]
 
     def __init__(
         self,
         backend: Backend,
         template: PromptTemplate = DEFAULT_PROMPT,
         cache: ResultCache | None = None,
-        scheduler: Scheduler | None = None,
+        batch_size: int = 32,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         fallback: ThresholdMatcher | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
         self.backend = backend
         self.template = template
         self.cache = cache if cache is not None else ResultCache(clock=clock)
-        self.scheduler = (
-            scheduler if scheduler is not None else Scheduler(clock=clock)
-        )
+        #: unique prompts per micro-batch, the only place batches are cut.
+        self.batch_size = batch_size
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker(clock=clock)
         #: degraded matcher used while the backend is unhealthy.  The
@@ -144,8 +125,8 @@ class MatchingEngine:
         self.stats = EngineStats()
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.RLock()
-        self._in_flight = {}
+        #: True while a ``match_pairs`` call runs (the one-caller guard).
+        self._matching = False
 
     # ------------------------------------------------------------ factories
 
@@ -161,14 +142,12 @@ class MatchingEngine:
 
         Open-source personas run in-process through
         :class:`~repro.engine.backends.LocalBackend`; hosted personas
-        through the batch API (see :func:`make_backend`).  *batch_size*
-        is the scheduler's micro-batch size, the only place batches are
-        cut.
+        through the batch API (see :func:`make_backend`).
         """
-        kwargs.setdefault("scheduler", Scheduler(max_batch_size=batch_size))
         return cls(
             backend=make_backend(model),
             template=template,
+            batch_size=batch_size,
             **kwargs,
         )
 
@@ -184,60 +163,67 @@ class MatchingEngine:
     ) -> list[MatchResult]:
         """Match every candidate pair, preserving input order.
 
-        Safe to call from any number of threads concurrently.  Duplicate
-        pairs (after normalization) are answered by a single backend
-        request — within one call, across concurrent calls, and (via the
-        cache) across sequential calls.
+        Duplicate pairs (after normalization) are answered by a single
+        backend request, within one call and (via the cache) across
+        calls.  Raises ``RuntimeError`` when another call is running:
+        the engine takes one caller at a time.
         """
+        if self._matching:
+            raise RuntimeError(
+                "MatchingEngine takes one caller at a time: match_pairs "
+                "was called while another call was running"
+            )
+        self._matching = True
+        try:
+            return self._match(pairs)
+        finally:
+            self._matching = False
+
+    def _match(
+        self, pairs: Sequence[EntityPair | tuple[str, str]] | Iterable
+    ) -> list[MatchResult]:
         descriptions = [self._descriptions(p) for p in pairs]
         results: list[MatchResult | None] = [None] * len(descriptions)
-        #: (input index, shared slot, left, right) awaiting a dispatch.
-        claims: list[tuple[int, _Pending, str, str]] = []
+        #: (input index, slot) for every cache miss.
+        claims: list[tuple[int, _Pending]] = []
+        #: the micro-batch being filled: its unique prompts, in arrival
+        #: order.  A dispatched batch leaves the table, so a later
+        #: identical request hits the cache or, after a fallback, opens
+        #: a fresh slot.
+        batch: dict[str, _Pending] = {}
         hits = 0
 
         for i, (left, right) in enumerate(descriptions):
             prompt = self.template.render(left, right)
-            key = prompt
-            cached = self.cache.get(key)
+            cached = self.cache.get(prompt)
             if cached is not None:
                 response, decision = cached
                 hits += 1
                 results[i] = MatchResult(left, right, response, decision, "cache")
                 continue
             self.stats.add("requests", "cache_misses")
-            batch = None
-            created = False
-            with self._lock:
-                pending = self._in_flight.get(key)
-                if pending is None:
-                    created = True
-                    pending = _Pending(key=key, prompt=prompt, left=left, right=right)
-                    self._in_flight[key] = pending
-                    batch = self.scheduler.submit(pending)
-                    if batch is None:
-                        batch = self.scheduler.poll()
-                pending.claims += 1
-            if not created:
+            pending = batch.get(prompt)
+            if pending is None:
+                pending = batch[prompt] = _Pending(prompt, left, right)
+            else:
                 self.stats.add("deduped")
-            claims.append((i, pending, left, right))
-            if batch is not None:
-                self._dispatch(batch)
+            pending.claims += 1
+            claims.append((i, pending))
+            if len(batch) == self.batch_size:
+                self._dispatch(list(batch.values()), "size")
+                batch = {}
         if hits:
             # One add for the call's hits: requests = hits + misses holds
             # in every snapshot, since each add bumps requests with them.
             self.stats.add("requests", "cache_hits", n=hits)
+        if batch:
+            self._dispatch(list(batch.values()), "drain")
 
-        with self._lock:
-            batch = self.scheduler.drain()
-        if batch is not None:
-            self._dispatch(batch)
-
-        for i, pending, left, right in claims:
-            pending.wait()
+        for i, pending in claims:
+            left, right = descriptions[i]
             results[i] = MatchResult(
                 left, right, pending.response, pending.decision, pending.source
             )
-
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
@@ -276,31 +262,14 @@ class MatchingEngine:
         left, right = pair
         return " ".join(left.split()), " ".join(right.split())
 
-    def _retire(self, batch: Batch[_Pending]) -> list[int]:
-        """Remove a dispatched batch from the in-flight table.
-
-        Returns each item's claim count, frozen at removal: once an item
-        leaves the table no further request can join it, so the counts are
-        exact.  Later identical requests open a fresh slot (or hit the
-        cache, when the dispatch succeeded).
-        """
-        with self._lock:
-            counts = []
-            for item in batch.items:
-                self._in_flight.pop(item.key, None)
-                counts.append(item.claims)
-            return counts
-
-    def _dispatch(self, batch: Batch[_Pending]) -> None:
+    def _dispatch(self, batch: list[_Pending], reason: str) -> None:
         """Run one micro-batch through retry/breaker; fall back on failure.
 
-        Called outside every lock: backend calls block (model inference,
-        provider polling, retry sleeps) and must never stall other threads'
-        cache hits or submissions.
+        *reason* is why the batch was cut: ``"size"`` or ``"drain"``.
         """
-        self.stats.add("batches", lanes=(("flush", batch.reason),))
+        self.stats.add("batches", lanes=(("flush", reason),))
         self.stats.add("batched_requests", n=len(batch))
-        prompts = [item.prompt for item in batch.items]
+        prompts = [item.prompt for item in batch]
 
         def error_class(exc: Exception) -> str:
             """The error counter a failed attempt lands in."""
@@ -341,15 +310,13 @@ class MatchingEngine:
         self.stats.sample("latency", elapsed, len(prompts))
         answered = [
             (item, response, bool(parse_yes_no(response)))
-            for item, response in zip(batch.items, responses)
+            for item, response in zip(batch, responses)
         ]
         for item, response, decision in answered:
-            self.cache.put(item.key, (response, decision))
-        self._retire(batch)
-        for item, response, decision in answered:
+            self.cache.put(item.prompt, (response, decision))
             item.resolve(response, decision, "backend")
 
-    def _fallback_batch(self, batch: Batch[_Pending]) -> None:
+    def _fallback_batch(self, batch: list[_Pending]) -> None:
         """Answer a failed batch with the degraded threshold matcher.
 
         Fallback answers are *not* cached: once the backend recovers, the
@@ -364,10 +331,9 @@ class MatchingEngine:
                              description=item.right),
                 label=False,
             )
-            for i, item in enumerate(batch.items)
+            for i, item in enumerate(batch)
         ]
         decisions = self.fallback.predict(Split(name="fallback", pairs=pairs))
-        claim_counts = self._retire(batch)
-        self.stats.add("fallbacks", n=sum(claim_counts))
-        for item, decision in zip(batch.items, decisions):
+        self.stats.add("fallbacks", n=sum(item.claims for item in batch))
+        for item, decision in zip(batch, decisions):
             item.resolve(None, bool(decision), "fallback")

@@ -95,7 +95,7 @@ class EngineStats(Counters):
 
     @property
     def flush_reasons(self) -> dict[str, int]:
-        """Flush reason ("size" / "deadline" / "drain") → batches."""
+        """Flush reason ("size" / "drain") → batches."""
         return _derived(self.counts())["flush_reasons"]
 
     def latency_percentiles(self, qs: tuple[int, ...] = (50, 95, 99)) -> dict[str, float]:

@@ -1,13 +1,13 @@
 """Injectable manual clock: the time seam every chaos run is driven by.
 
-The engine, scheduler, cache, retry policy, and circuit breaker all take
+The engine, cache, retry policy, and circuit breaker all take
 ``clock``/``sleep`` callables instead of touching :mod:`time` directly
 (enforced by the ``injectable-sleep`` lint rule).  :class:`ManualClock`
 is the library-level implementation of that seam: a monotonic counter
 that only moves when something *tells* it to — a backoff sleep, an
 injected timeout fault, a test.  Chaos runs built on it are therefore
-bit-reproducible: wall-clock speed of the host never leaks into flush
-deadlines, timeout accounting, or breaker cooldowns.
+bit-reproducible: wall-clock speed of the host never leaks into cache
+expiry, timeout accounting, or breaker cooldowns.
 
 The same instance also drives *asyncio* code (the ``repro.serve``
 gateway): :meth:`ManualClock.sleep_async` suspends a coroutine until the

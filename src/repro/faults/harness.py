@@ -41,7 +41,6 @@ from repro.baselines.threshold import ThresholdMatcher
 from repro.datasets.schema import EntityPair, Record, Split
 from repro.engine.engine import MatchingEngine, MatchResult
 from repro.engine.retry import CircuitBreaker, RetryPolicy
-from repro.engine.scheduler import Scheduler
 from repro.faults.backend import CrashingBackend, FaultyBackend, SimulatedCrash
 from repro.faults.clock import ManualClock
 from repro.faults.plan import FAULT_KINDS, FaultPlan
@@ -159,8 +158,8 @@ def chaos_engine_on(backend, clock: ManualClock, seed: int, failure_threshold: i
     """The harness's fixed engine configuration over any backend.
 
     The rate-0 transparency check compares a wrapped engine against an
-    un-wrapped one, so both must share every other knob — scheduler
-    granularity changes which repeated prompt is deduped in-flight versus
+    un-wrapped one, so both must share every other knob — batch size
+    changes which repeated prompt is deduped in-flight versus
     answered from the cache, which is a legitimate (and observable)
     source difference.
     """
@@ -168,7 +167,7 @@ def chaos_engine_on(backend, clock: ManualClock, seed: int, failure_threshold: i
         backend=backend,
         # Small micro-batches: more backend calls per run means more
         # fault draws, so a modest workload still exercises every kind.
-        scheduler=Scheduler(max_batch_size=8, clock=clock),
+        batch_size=8,
         retry=RetryPolicy(timeout=_TIMEOUT_BUDGET, seed=seed),
         breaker=CircuitBreaker(
             failure_threshold=failure_threshold,

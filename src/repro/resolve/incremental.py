@@ -77,6 +77,7 @@ that is mid-ingest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -375,26 +376,39 @@ class ResolutionStore:
 
         The record line is journaled before the record enters the store,
         so a failed append leaves the store untouched and the same record
-        can be ingested again.  Raises ``RuntimeError`` when called while
-        another ingest is deciding its record (the store has one writer),
-        and ``ValueError`` for a duplicate id or a closed journaled store.
+        can be ingested again.  An ingest that raised while deciding
+        (the engine failed) leaves its record journaled but uncommitted;
+        ingesting the same record again resumes it from its journaled
+        answers, as :meth:`recover` would.  Raises ``RuntimeError`` when
+        called while another ingest is deciding its record (the store
+        has one writer), and ``ValueError`` for a committed or different
+        record under a known id, or a closed journaled store.
         """
         self._check_writable()
         record_id = record.record_id
-        if record_id in self._records:
-            raise ValueError(f"record {record_id!r} already ingested")
-        if self._journal is not None:
-            # Write-ahead: the record is acknowledged before any of its
-            # comparisons run, so a crash mid-comparison leaves it
-            # journaled-but-uncommitted and ``recover`` finishes it.
-            self._journal.append({"type": "record", **_record_entry(record)})
-        self._records[record_id] = record
-        self._index.add(record_id, record.description)
-        self._uf.add(record_id)
-        for partner in self._must_by_member.get(record_id, ()):
-            if partner in self._records:
-                self._uf.union(record_id, partner)
-        candidates, calls, skipped = self._finish(record)
+        known = self._records.get(record_id)
+        if known is not None:
+            if record_id in self._committed or known != record:
+                raise ValueError(f"record {record_id!r} already ingested")
+            candidates, calls, skipped = self._finish(
+                record, self._answers_of(record_id)
+            )
+        else:
+            if self._journal is not None:
+                # Write-ahead: the record is acknowledged before any of
+                # its comparisons run, so a crash mid-comparison leaves
+                # it journaled-but-uncommitted and ``recover`` (or a
+                # second ingest) finishes it.
+                self._journal.append(
+                    {"type": "record", **_record_entry(record)}
+                )
+            self._records[record_id] = record
+            self._index.add(record_id, record.description)
+            self._uf.add(record_id)
+            for partner in self._must_by_member.get(record_id, ()):
+                if partner in self._records:
+                    self._uf.union(record_id, partner)
+            candidates, calls, skipped = self._finish(record)
         cluster_id, cluster_size = self._cluster_of(record_id)
         return IngestResult(
             record_id=record_id,
@@ -430,12 +444,15 @@ class ResolutionStore:
         record_id = record.record_id
         #: partner id -> match, for every answer this record got so far.
         verdicts: dict[str, bool] = dict(carried)
+        #: pairs skipped so far; they count in the store's totals only
+        #: once the record is decided, as recovery counts them.
+        passed: set[tuple[str, str]] = set()
         candidates = calls = len(verdicts)
         skipped = 0
         others = self._index.candidates(record.description, exclude=record_id)
         while True:
             todo, remaining, shorted = self._next_batch(
-                record_id, others, verdicts
+                record_id, others, verdicts, passed
             )
             candidates += len(todo) + shorted
             skipped += shorted
@@ -474,6 +491,7 @@ class ResolutionStore:
                 verdicts[other] = decision.match
             if not remaining:
                 break
+        self.short_circuited += skipped
         if self.mode == "transitive":
             for other, match in verdicts.items():
                 if match:
@@ -485,14 +503,16 @@ class ResolutionStore:
         record_id: str,
         others: tuple[str, ...],
         verdicts: dict[str, bool],
+        passed: set[tuple[str, str]],
     ) -> tuple[list[tuple[str, str, str]], int, int]:
         """Choose the next pairs of *record_id* to ask the engine about.
 
-        *others* is the record's sorted candidate list and *verdicts* its
-        answers so far.  Returns ``(todo, remaining, short_circuited)``:
-        at most ``chunk_size`` ``(other, prompt-left, prompt-right)``
-        entries in id order, how many pending pairs wait for a later
-        batch, and how many pairs this call skipped.  The prompt
+        *others* is the record's sorted candidate list, *verdicts* its
+        answers so far and *passed* the pairs it skipped so far (this
+        call adds the ones it skips).  Returns ``(todo, remaining,
+        short_circuited)``: at most ``chunk_size`` ``(other, prompt-left,
+        prompt-right)`` entries in id order, how many pending pairs wait
+        for a later batch, and how many pairs this call skipped.  The prompt
         descriptions follow the canonical (sorted) pair, not arrival: the
         model's answer is not symmetric in its arguments, so a fixed
         orientation is what keeps each decision, and so the clustering,
@@ -532,13 +552,13 @@ class ResolutionStore:
             waiting = 0
             for other in others:
                 pair = pair_of(other)
-                if pair in compared:
+                if pair in compared or pair in passed:
                     continue
                 cluster = find(other)
                 if cluster in said_no:
                     round_b.append(other)
                 elif cluster in connected:
-                    compared.add(pair)
+                    passed.add(pair)
                     shorted += 1
                     continue
                 else:
@@ -548,7 +568,6 @@ class ResolutionStore:
                 : self.chunk_size
             ]
             remaining = waiting - len(asked)
-            self.short_circuited += shorted
         todo = []
         for other in asked:
             left, right = pair_of(other)
@@ -970,6 +989,20 @@ class ResolutionStore:
         self.short_circuited += skipped
         self._committed |= committed
         return [(r, carried[r.record_id]) for r in unfinished]
+
+    def _answers_of(self, record_id: str) -> list[tuple[str, bool]]:
+        """The ``(partner, match)`` answers an uncommitted record got
+        before its ingest raised: its decisions with the records that
+        arrived before it."""
+        earlier = set(takewhile(lambda rid: rid != record_id, self._records))
+        answers = []
+        for decision in self._decisions:
+            left, right = decision.key
+            if left == record_id and right in earlier:
+                answers.append((right, decision.match))
+            elif right == record_id and left in earlier:
+                answers.append((left, decision.match))
+        return answers
 
     def _finish(
         self, record: Record, carried: Sequence[tuple[str, bool]] = ()

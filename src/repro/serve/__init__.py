@@ -4,10 +4,13 @@ Composition, front to back::
 
     request ── router ── admission ── bounded queue ── dispatch ── engine
                  │           │             │               │
-              persona     tenant       backpressure    micro-batches
-              (404 on     buckets /    (shed or        via Scheduler,
-               unknown)   quotas /     degrade when    retry + breaker
-                          global cap   full)           + fallback
+              persona     tenant       backpressure    one caller:
+              (404 on     buckets /    (shed or        the inline pump
+               unknown)   quotas /     degrade when    or one dispatch
+                          global cap   full)           thread; engine
+                                                       micro-batches,
+                                                       retry + breaker
+                                                       + fallback
 
 * :mod:`~repro.serve.protocol` — the request/response schema, with
   absolute deadlines and HTTP-flavoured status codes.
@@ -16,7 +19,8 @@ Composition, front to back::
 * :mod:`~repro.serve.admission` — per-tenant token buckets, lifetime
   quotas, and a global concurrency cap on an injectable clock.
 * :mod:`~repro.serve.gateway` — the bounded queue bridging async callers
-  to the synchronous engine, with load shedding, graceful degradation to
+  to the synchronous engine through one dispatcher (the engine takes
+  one caller at a time), with load shedding, graceful degradation to
   the threshold baseline, and deadline propagation.
 * :mod:`~repro.serve.stats` — the counter funnel, its conservation
   invariants, and reconciliation against each engine's own counters.

@@ -232,7 +232,7 @@ def _transparency_violations(
     """Rate-0 check: gateway answers == un-wrapped engine, byte for byte.
 
     The baseline engine shares every knob with the chaos engine (same
-    scheduler granularity, retry, breaker — see ``chaos_engine_on``) and
+    batch size, retry, breaker — see ``chaos_engine_on``) and
     is fed the same pairs in the same persona-contiguous chunks the
     gateway dispatched, so the only difference left is the gateway
     wrapping itself.

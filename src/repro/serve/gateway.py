@@ -9,29 +9,30 @@ Request lifecycle::
       → bounded request queue
           — full → graceful degradation (threshold answer, source="degraded")
                    or load shed (503) when degradation is disabled
-      → dispatch worker dequeues a persona-contiguous chunk
+      → the dispatcher dequeues a persona-contiguous chunk
           — deadline re-check: anything that expired while queued → 504
           — circuit breaker open → degraded answers without touching the
             backend
           — otherwise the chunk goes through ``MatchingEngine.match_pairs``
-            (backpressure into the engine's micro-batching scheduler)
+            (the engine cuts it into micro-batches)
       → the chunk is handed back once: each outcome counted with one
         stats add per (outcome, lanes) group, then one
         ``loop.call_soon_threadsafe(_set_results, ...)`` per submitting
         event loop resolves that loop's futures, in chunk order
 
-Async callers await a :class:`_QueuedRequest` future — the asyncio
-sibling of the engine's ``_Pending`` slot: written exactly once, by the
-dispatching side, and handed back through the owning event loop so no
-response ever crosses threads unsynchronized.  ``_set_results`` is the
-one thread→loop seam: a chunk costs one self-pipe wake-up per loop, not
-one per request.
+Async callers await a :class:`_QueuedRequest` future: written exactly
+once, by the dispatching side, and handed back through the owning event
+loop so no response ever crosses threads unsynchronized.
+``_set_results`` is the one thread→loop seam: a chunk costs one
+self-pipe wake-up per loop, not one per request.
 
-Two drive modes share all of that code path:
+The engine takes one caller at a time, so the gateway has exactly one
+dispatcher.  Two drive modes share all of that code path:
 
-* **threaded** (``workers >= 1`` + ``await gateway.start()``): real
-  dispatch threads block on the queue; this is the serving/benchmark
-  mode.
+* **threaded** (``workers=1`` + ``await gateway.start()``): one dispatch
+  thread blocks on the queue; this is the serving/benchmark mode.  A
+  chunk whose dispatch raises an ``Exception`` is answered degraded and
+  the thread keeps serving; ``close`` re-raises the first such error.
 * **inline** (``workers=0``): nothing runs in the background; the test,
   chaos harness, or CLI pumps the queue deterministically with
   :meth:`Gateway.pump` / :func:`run_inline`.  Combined with
@@ -91,15 +92,17 @@ class Gateway:
     """Async front door over per-persona matching engines."""
 
     #: shared queue state — touched by the event loop (submission) and
-    #: the dispatch threads (dequeue), always under ``_cv``.
+    #: the dispatch thread (dequeue), always under ``_cv``.
     _queue: Annotated["deque[_QueuedRequest]", guarded_by("_cv")]
     _closed: Annotated[bool, guarded_by("_cv")]
+    #: the first ``Exception`` a threaded dispatch raised, for ``close``.
+    _error: Annotated["Exception | None", guarded_by("_cv")]
 
     #: teardown contract, machine-checked by ``deep-shutdown-order``:
-    #: wake every worker blocked on ``_cv`` (so the drain can finish)
-    #: *before* joining the dispatch threads.  Joining first deadlocks —
-    #: a parked worker never observes ``_closed``.
-    __shutdown_order__ = shutdown_order("_cv", "_threads")
+    #: wake the dispatch thread blocked on ``_cv`` (so the drain can
+    #: finish) *before* joining it.  Joining first deadlocks — a parked
+    #: thread never observes ``_closed``.
+    __shutdown_order__ = shutdown_order("_cv", "_thread")
 
     def __init__(
         self,
@@ -117,8 +120,11 @@ class Gateway:
             raise ValueError("queue_capacity must be positive")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers not in (0, 1):
+            raise ValueError(
+                "workers must be 0 (inline pump) or 1 (one dispatch "
+                "thread): the engine takes one caller at a time"
+            )
         self.router = router
         self.admission = admission
         self.queue_capacity = queue_capacity
@@ -133,36 +139,43 @@ class Gateway:
         self._clock = clock
         self._queue: "deque[_QueuedRequest]" = deque()
         self._cv = threading.Condition()
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._closed = False
+        self._error = None
 
     # ------------------------------------------------------------- lifecycle
 
     async def start(self) -> "Gateway":
-        """Spawn the dispatch threads (no-op in inline mode)."""
-        for i in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"gateway-worker-{i}", daemon=True
+        """Spawn the dispatch thread (no-op in inline mode)."""
+        if self.workers:
+            self._thread = threading.Thread(
+                target=self._worker_loop, name="gateway-worker", daemon=True
             )
-            thread.start()
-            self._threads.append(thread)
+            self._thread.start()
         return self
 
     async def close(self) -> None:
-        """Stop accepting work and join the dispatch threads.
+        """Stop accepting work and join the dispatch thread.
 
-        Anything still queued is drained by the workers before they
-        exit, so every admitted request is answered.
+        Anything still queued is drained by the thread before it exits,
+        so every admitted request is answered.  Re-raises the first
+        ``Exception`` a threaded dispatch raised (its chunk was answered
+        degraded).
         """
         with self._cv:
             self._closed = True
             self._cv.notify_all()
-        loop = asyncio.get_running_loop()
-        for thread in self._threads:
+        if self._thread is not None:
             # Joining on the loop would stall every other task for the
             # length of the drain; hop the join to an executor thread.
-            await loop.run_in_executor(None, thread.join)
-        self._threads.clear()
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._thread.join
+            )
+            self._thread = None
+        with self._cv:
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
 
     async def __aenter__(self) -> "Gateway":
         return await self.start()
@@ -250,7 +263,7 @@ class Gateway:
 
         Returns the number of requests handled; 0 when the queue is
         empty.  Must only be called from the event-loop thread of the
-        submitting callers, and never concurrently with started workers.
+        submitting callers, and never with a started dispatch thread.
         """
         chunk = self._take_chunk(block=False)
         if not chunk:
@@ -272,8 +285,14 @@ class Gateway:
             chunk = self._take_chunk(block=True)
             if chunk is None:
                 return
-            if chunk:
+            try:
                 self._process(chunk)
+            except Exception as exc:
+                # The chunk is already answered degraded; keep serving
+                # and let close() report the error.
+                with self._cv:
+                    if self._error is None:
+                        self._error = exc
 
     def _take_chunk(self, block: bool) -> "list[_QueuedRequest] | None":
         """Pop up to ``batch_size`` same-persona items from the queue head.
@@ -281,7 +300,7 @@ class Gateway:
         Grouping is persona-contiguous so dispatch order stays the
         arrival order — a chunk never overtakes an earlier request bound
         for a different engine.  Returns None when the gateway is closed
-        and drained (threaded workers exit on it).
+        and drained (the dispatch thread exits on it).
         """
         with self._cv:
             while block and not self._queue and not self._closed:
@@ -299,7 +318,7 @@ class Gateway:
             return chunk
 
     def _process(self, chunk: "list[_QueuedRequest]") -> None:
-        """Answer one dequeued chunk (runs on a dispatch thread)."""
+        """Answer one dequeued chunk (on the dispatch thread or the pump)."""
         persona = chunk[0].persona
         now = self._clock()
         #: (outcome, item, response) for every answered request, in the
@@ -378,9 +397,8 @@ class Gateway:
     def _breaker_open(engine: MatchingEngine, now: float) -> bool:
         """Whether the engine's breaker is open with cooldown remaining.
 
-        Lock-free peek at the breaker's state: a race can only delay
-        degradation by one chunk, never corrupt it — the engine itself
-        re-checks under its own lock on dispatch.
+        A peek at the breaker's state from the dispatcher, the engine's
+        one caller: the engine re-checks it on dispatch.
         """
         breaker = engine.breaker
         return (

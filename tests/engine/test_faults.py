@@ -9,7 +9,7 @@ threshold baseline — all without raising to the caller.
 
 import pytest
 
-from repro.engine import CircuitBreaker, MatchingEngine, RetryPolicy, Scheduler
+from repro.engine import CircuitBreaker, MatchingEngine, RetryPolicy
 from repro.engine.cache import ResultCache
 
 from tests.engine.doubles import (
@@ -31,7 +31,7 @@ def make_engine(backend, clock=None, **overrides):
     defaults = dict(
         backend=backend,
         cache=ResultCache(clock=clock),
-        scheduler=Scheduler(max_batch_size=8, max_wait=0.05, clock=clock),
+        batch_size=8,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.01, jitter=0.0),
         breaker=CircuitBreaker(failure_threshold=3, cooldown=10.0, clock=clock),
         clock=clock,

@@ -4,13 +4,13 @@ Before backends owned a :class:`~repro.llm.features.FeatureMemo`, every
 distinct pair an engine scored added a feature row to the module-global
 ``features._CACHE`` and an observation-noise row to the cached prior's
 ``_obs_cache``, for the life of the process.  Now an engine's views die
-with the engine, and two threads sharing one engine (and so one memo)
-get the answers of a serial run.
+with the engine, and two threads sharing one engine (and so one memo),
+taking turns as its one-caller contract asks, get the answers of a
+serial run.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 
 from repro.datasets.synthetic import synthetic_dedup_corpus
@@ -65,24 +65,23 @@ def test_two_threads_sharing_one_engine_answer_as_a_serial_run():
     got: list = [None, None]
     errors: list = []
     start = threading.Barrier(2)
+    #: the engine takes one caller at a time: threads sharing it take turns.
+    turn = threading.Lock()
 
     def worker(k: int) -> None:
         try:
             start.wait()
-            got[k] = engine.match_pairs(orders[k])
+            with turn:
+                got[k] = engine.match_pairs(orders[k])
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        sys.setswitchinterval(interval)
+    threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     for results in got:
         assert {(r.left, r.right): (r.response, r.decision)

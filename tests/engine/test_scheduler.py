@@ -1,71 +1,64 @@
-"""Tests for the dynamic micro-batching scheduler."""
+"""Tests for the engine's micro-batch cut: flush on size, drain at the end.
+
+One ``match_pairs`` call fills micro-batches of unique prompts in arrival
+order, dispatches each as soon as it holds ``batch_size`` prompts, and
+drains the remainder before it returns.
+"""
+
+from dataclasses import dataclass, field
 
 import pytest
 
-from repro.engine.scheduler import Scheduler
+from repro.engine import MatchingEngine
 
-from tests.engine.doubles import FakeClock
+from tests.engine.doubles import EchoBackend
+
+
+@dataclass
+class RecordingBackend(EchoBackend):
+    """Echo backend that keeps every batch of prompts it was sent."""
+
+    batches: list = field(default_factory=list)
+
+    def generate(self, prompts):
+        self.batches.append(list(prompts))
+        return super().generate(prompts)
+
+
+def run(batch_size, pairs):
+    backend = RecordingBackend()
+    engine = MatchingEngine(backend=backend, batch_size=batch_size)
+    engine.match_pairs(pairs)
+    prompts = [engine.template.render(left, right) for left, right in pairs]
+    return engine, backend, prompts
 
 
 class TestSizeFlush:
     def test_flushes_at_max_batch_size(self):
-        sched = Scheduler(max_batch_size=3)
-        assert sched.submit("a") is None
-        assert sched.submit("b") is None
-        batch = sched.submit("c")
-        assert batch is not None
-        assert batch.items == ("a", "b", "c")
-        assert batch.reason == "size"
-        assert sched.pending == 0
+        engine, backend, prompts = run(3, [("a", "1"), ("b", "2"), ("c", "3")])
+        assert backend.batches == [prompts]
+        assert engine.stats.flush_reasons == {"size": 1}
 
     def test_batches_preserve_order_across_flushes(self):
-        sched = Scheduler(max_batch_size=2)
-        flushed = [sched.submit(i) for i in range(5)]
-        batches = [b for b in flushed if b is not None]
-        assert [b.items for b in batches] == [(0, 1), (2, 3)]
-        assert sched.pending == 1
+        pairs = [(f"left {i}", f"right {i}") for i in range(5)]
+        engine, backend, prompts = run(2, pairs)
+        assert backend.batches == [prompts[0:2], prompts[2:4], prompts[4:]]
+        assert engine.stats.flush_reasons == {"size": 2, "drain": 1}
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            Scheduler(max_batch_size=0)
+            MatchingEngine(backend=EchoBackend(), batch_size=0)
         with pytest.raises(ValueError):
-            Scheduler(max_wait=-1.0)
-
-
-class TestDeadlineFlush:
-    def test_poll_flushes_after_max_wait(self):
-        clock = FakeClock()
-        sched = Scheduler(max_batch_size=100, max_wait=0.5, clock=clock)
-        sched.submit("a")
-        clock.advance(0.4)
-        assert sched.poll() is None
-        clock.advance(0.2)
-        batch = sched.poll()
-        assert batch is not None and batch.reason == "deadline"
-        assert batch.items == ("a",)
-
-    def test_deadline_tracks_oldest_item(self):
-        clock = FakeClock()
-        sched = Scheduler(max_batch_size=100, max_wait=1.0, clock=clock)
-        sched.submit("old")
-        clock.advance(0.9)
-        sched.submit("new")  # does not reset the oldest item's deadline
-        clock.advance(0.2)
-        batch = sched.poll()
-        assert batch is not None and batch.items == ("old", "new")
-
-    def test_empty_scheduler_never_due(self):
-        clock = FakeClock()
-        sched = Scheduler(max_wait=0.0, clock=clock)
-        assert sched.poll() is None
+            MatchingEngine.for_model("llama-3.1-8b", batch_size=-1)
 
 
 class TestDrain:
     def test_drain_flushes_remainder(self):
-        sched = Scheduler(max_batch_size=10)
-        sched.submit("a")
-        sched.submit("b")
-        batch = sched.drain()
-        assert batch is not None
-        assert batch.items == ("a", "b") and batch.reason == "drain"
-        assert sched.drain() is None
+        pairs = [("a", "1"), ("b", "2")]
+        engine, backend, prompts = run(10, pairs)
+        assert backend.batches == [prompts]
+        assert engine.stats.flush_reasons == {"drain": 1}
+        # Nothing was left pending: the same pairs again come from the
+        # cache and dispatch no batch.
+        engine.match_pairs(pairs)
+        assert len(backend.batches) == 1

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine.retry import BackendError
+from repro.engine import MatchingEngine
+from repro.engine.retry import BackendError, CircuitBreaker, RetryPolicy
 from repro.faults import (
     CONTENT_FAULT_KINDS,
     GARBLED_COMPLETION,
@@ -10,6 +11,7 @@ from repro.faults import (
     FaultPlan,
     FaultyBackend,
     ManualClock,
+    ParityBackend,
     SimulatedCrash,
 )
 
@@ -134,6 +136,44 @@ class TestContentAddressing:
                 assert answer == GARBLED_COMPLETION
             else:
                 assert answer == f"answer for {prompt}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_engine_decisions_follow_the_seed(self, seed):
+        """Content addressing keys every fault on the prompt, so an
+        engine's decisions do not depend on how its calls cut batches,
+        and retry absorbs every transient error."""
+        pairs = [
+            (f"gadget number {i % 60} alpha edition",
+             f"gadget number {i % 60} beta edition")
+            for i in range(150)
+        ]
+
+        def run(call_size):
+            backend = FaultyBackend(ParityBackend(), self.plan(0.4, seed))
+            engine = MatchingEngine(
+                backend=backend,
+                retry=RetryPolicy(seed=seed),
+                # An open breaker would make answers depend on when a
+                # batch hit it, which content addressing cannot fix.
+                breaker=CircuitBreaker(failure_threshold=10**9),
+                sleep=lambda seconds: None,
+            )
+            decisions = []
+            for i in range(0, len(pairs), call_size):
+                chunk = pairs[i:i + call_size]
+                decisions += [r.decision for r in engine.match_pairs(chunk)]
+            return decisions, engine, backend
+
+        whole, engine, backend = run(len(pairs))
+        assert run(7)[0] == whole
+        assert run(len(pairs))[0] == whole
+        injected = backend.injected_counts()
+        assert set(injected) <= set(CONTENT_FAULT_KINDS)
+        assert injected.get("garble", 0) > 0
+        stats = engine.stats
+        assert stats.requests == len(pairs)
+        assert stats.failures == 0 and stats.fallbacks == 0
+        assert stats.transport_errors == stats.retries
 
     def test_transient_errors_hit_only_the_first_attempt(self):
         plan = self.plan(rate=0.9, seed=2)

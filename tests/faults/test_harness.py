@@ -85,7 +85,7 @@ class TestFlappingWalk:
     """A scripted plan drives the breaker closed→open→half-open→closed."""
 
     def batch(self, tag):
-        # 8 unique pairs = exactly one scheduler flush = one backend call
+        # 8 unique pairs = exactly one size flush = one backend call
         # per retry attempt, so scripted call indices line up with batches.
         return [(f"{tag} item {i} alpha", f"{tag} item {i} beta")
                 for i in range(8)]

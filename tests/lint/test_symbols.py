@@ -101,10 +101,15 @@ class TestGuardedBy:
         counters = table.classes["repro.obs.Counters"]
         assert counters.guarded_fields["_counts"] == "_lock"
         assert counters.guarded_fields["_samples"] == "_lock"
+        # The engine takes one caller and declares no guarded field; the
+        # gateway's queue state is shared with its dispatch thread.
         engine = table.classes["repro.engine.engine.MatchingEngine"]
-        assert engine.guarded_fields == {
-            "_in_flight": "_lock",
-            "scheduler": "_lock",
+        assert engine.guarded_fields == {}
+        gateway = table.classes["repro.serve.gateway.Gateway"]
+        assert gateway.guarded_fields == {
+            "_queue": "_cv",
+            "_closed": "_cv",
+            "_error": "_cv",
         }
 
 

@@ -7,12 +7,15 @@ symmetric in (left, right): exactly the property the store's canonical
 pair orientation must neutralize.
 """
 
+import shutil
+
 import pytest
 
 from repro._util import derive_rng
 from repro.datasets.schema import Record
 from repro.engine import MatchingEngine
 from repro.engine.engine import MatchResult
+from repro.faults import synthetic_records
 from repro.faults.journal import JournalWriter
 from repro.resolve import (
     ResolutionStore,
@@ -219,7 +222,68 @@ class _ArrivalEngine:
         return self.inner.match_pairs(pairs)
 
 
+class _FailingOnceEngine:
+    """Engine whose *fail_at*-th ``match_pairs`` call raises."""
+
+    def __init__(self, fail_at: int) -> None:
+        self.inner = MatchingEngine(backend=ParityBackend())
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def match_pairs(self, pairs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ConnectionError("engine unavailable")
+        return self.inner.match_pairs(pairs)
+
+
 class TestOneWriter:
+    @pytest.mark.parametrize("fail_at", [1, 6, 7])
+    def test_a_retried_ingest_resumes_its_record(
+        self, tmp_path, fail_at
+    ):
+        """The retry decides what recovery from the same journal decides."""
+        records = synthetic_records(12)
+        path = tmp_path / "live.jsonl"
+        copy = tmp_path / "copy.jsonl"
+        store = ResolutionStore(
+            _FailingOnceEngine(fail_at), journal=path, chunk_size=2
+        )
+        for i, record in enumerate(records):
+            try:
+                store.ingest(record)
+            except ConnectionError:
+                break
+        else:
+            pytest.fail("the engine never failed")
+        failed = records[i]
+        shutil.copy(path, copy)
+        renamed = Record(record_id=failed.record_id, attributes={},
+                         description="something else")
+        with pytest.raises(ValueError, match="already ingested"):
+            store.ingest(renamed)
+        store.ingest(failed)  # the retry resumes the record
+        with pytest.raises(ValueError, match="already ingested"):
+            store.ingest(failed)  # now committed
+        for record in records[i + 1:]:
+            store.ingest(record)
+        store.close()
+
+        with ResolutionStore.recover(
+            copy, MatchingEngine(backend=ParityBackend()), chunk_size=2
+        ) as recovered:
+            for record in records[i + 1:]:
+                recovered.ingest(record)
+        assert store.clustering() == recovered.clustering()
+        assert store.decision_log() == recovered.decision_log()
+        assert store._committed == recovered._committed == {
+            r.record_id for r in records
+        }
+        assert (store.engine_calls, store.short_circuited) == (
+            recovered.engine_calls, recovered.short_circuited
+        )
+        assert path.read_bytes() == copy.read_bytes()
+
     def test_a_reentrant_ingest_raises(self):
         early = [
             Record(record_id=f"e{i}", attributes={},

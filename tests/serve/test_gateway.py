@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.threshold import ThresholdMatcher
 from repro.datasets.schema import EntityPair, Record, Split
+from repro.engine import MatchingEngine, RetryPolicy
 from repro.faults.clock import ManualClock
 from repro.serve import (
     AdmissionController,
@@ -261,7 +262,7 @@ class TestThreadedMode:
     def test_threaded_workers_answer_everything_with_exact_accounting(self):
         router, engines = _router()
         gateway = Gateway(
-            router, workers=3, queue_capacity=256, batch_size=8
+            router, workers=1, queue_capacity=256, batch_size=8
         )
         workload = _requests(40) + _requests(24, persona=OTHER, tenant="b")
 
@@ -294,6 +295,42 @@ class TestThreadedMode:
         assert len(responses) == 12 and all(r.ok for r in responses)
         assert gateway.queue_depth == 0
 
+    def test_dispatch_thread_survives_a_failed_chunk(self):
+        class FailsOnce:
+            name = "fails-once"
+            calls = 0
+
+            def generate(self, prompts):
+                self.calls += 1
+                if self.calls == 1:
+                    raise ValueError("backend bug")
+                return ["Yes."] * len(prompts)
+
+        backend = FailsOnce()
+        router = PersonaRouter(
+            default=PERSONA,
+            personas=(PERSONA,),
+            engine_factory=lambda name: MatchingEngine(
+                backend=backend, retry=RetryPolicy(max_attempts=1)
+            ),
+        )
+        gateway = Gateway(router, workers=1)
+        first, second = _requests(2)
+
+        async def scenario():
+            await gateway.start()
+            answers = [await gateway.match(first),
+                       await asyncio.wait_for(gateway.match(second), 30)]
+            with pytest.raises(ValueError, match="backend bug"):
+                await gateway.close()
+            return answers
+
+        failed, served = asyncio.run(scenario())
+        assert (failed.source, failed.reason) == ("degraded", "dispatch_error")
+        assert served.ok and served.source == "backend"
+        assert backend.calls == 2
+        assert gateway.stats.violations() == []
+
 
 class TestConstructionValidation:
     @pytest.mark.parametrize(
@@ -302,6 +339,7 @@ class TestConstructionValidation:
             {"queue_capacity": 0},
             {"batch_size": 0},
             {"workers": -1},
+            {"workers": 2},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

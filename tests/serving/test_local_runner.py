@@ -1,8 +1,8 @@
 """Tests for the local inference path.
 
 Open-source models run in-process through
-:class:`~repro.engine.backends.LocalBackend`; the engine's scheduler is
-the only place a prompt list is cut into micro-batches.  These tests pin
+:class:`~repro.engine.backends.LocalBackend`; the engine's micro-batch
+cut is the only place a prompt list is cut into micro-batches.  These tests pin
 what the path promises: answers in input order, and completions that do
 not depend on how the batches are cut.
 """
@@ -43,7 +43,7 @@ class TestLocalRunner:
         """Byte-identical completions at batch size 1, 7 or 32, and again.
 
         Real inference stacks famously violate this (batch-dependent
-        kernel selection); here how the scheduler cuts micro-batches is
+        kernel selection); here how the engine cuts micro-batches is
         invisible, and a repeat run has no hidden cross-call state.
         """
         outputs = {

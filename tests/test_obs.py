@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MatchingEngine
-from repro.engine.scheduler import Scheduler
 from repro.obs import TOTAL, Balance, Counters, LaneSum, lane_sums
 
 from tests.engine.doubles import EchoBackend
@@ -109,9 +108,7 @@ class TestPercentiles:
         assert [v.hex() for v in got.values()] == [float(v).hex() for v in want]
 
     def test_engine_keeps_one_sample_per_dispatch(self):
-        engine = MatchingEngine(
-            backend=EchoBackend(), scheduler=Scheduler(max_batch_size=4)
-        )
+        engine = MatchingEngine(backend=EchoBackend(), batch_size=4)
         engine.match_pairs([(f"l{i}", f"r{i}") for i in range(10)])
         samples = engine.stats.samples("latency")
         assert len(samples) == engine.stats.batches == 3
