@@ -10,7 +10,8 @@ Request lifecycle::
         the remainder when the call runs out of input
       → Backend.generate under RetryPolicy + CircuitBreaker
           ──exhausted / circuit open──→ threshold-baseline fallback
-      → parse answer, fill cache, resolve the call's slots, update EngineStats
+      → parse answer (one parse per response text), fill cache, resolve
+        the call's slots, update EngineStats
 
 The engine accepts ad-hoc description pairs, labelled
 :class:`~repro.datasets.schema.EntityPair` objects, whole splits, and
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -97,6 +99,9 @@ class _Pending:
 class MatchingEngine:
     """Cache-, batch-, and failure-aware front end over a model backend."""
 
+    #: response texts whose verdicts one engine keeps (see :meth:`verdict`).
+    MAX_VERDICTS = 1024
+
     def __init__(
         self,
         backend: Backend,
@@ -127,6 +132,8 @@ class MatchingEngine:
         self._sleep = sleep
         #: True while a ``match_pairs`` call runs (the one-caller guard).
         self._matching = False
+        #: response text → parsed decision (see :meth:`verdict`).
+        self._verdicts: dict[str, bool] = {}
 
     # ------------------------------------------------------------ factories
 
@@ -262,6 +269,24 @@ class MatchingEngine:
         left, right = pair
         return " ".join(left.split()), " ".join(right.split())
 
+    def verdict(self, response: str) -> bool:
+        """The decision *response* parses to: ``bool(parse_yes_no(response))``.
+
+        Models answer from a few canned texts (a zero-shot persona's
+        verbose and hedged pools, a fine-tuned model's bare "Yes."/"No."),
+        so the engine keeps the verdict of each text it has parsed.  The
+        memo holds at most ``MAX_VERDICTS`` texts; the insert that would
+        pass the bound starts it over, which costs re-parses and never a
+        wrong verdict.
+        """
+        decision = self._verdicts.get(response)
+        if decision is None:
+            decision = bool(parse_yes_no(response))
+            if len(self._verdicts) >= self.MAX_VERDICTS:
+                self._verdicts.clear()
+            self._verdicts[response] = decision
+        return decision
+
     def _dispatch(self, batch: list[_Pending], reason: str) -> None:
         """Run one micro-batch through retry/breaker; fall back on failure.
 
@@ -270,31 +295,19 @@ class MatchingEngine:
         self.stats.add("batches", lanes=(("flush", reason),))
         self.stats.add("batched_requests", n=len(batch))
         prompts = [item.prompt for item in batch]
-
-        def error_class(exc: Exception) -> str:
-            """The error counter a failed attempt lands in."""
-            if isinstance(exc, BackendTimeout):
-                return "timeouts"
-            if isinstance(exc, CircuitOpenError):
-                return "circuit_open"
-            return "transport_errors"
-
-        def on_retry(attempt: int, exc: Exception) -> None:
-            self.stats.add("retries", error_class(exc))
-
         opened_before = self.breaker.times_opened
         started = self._clock()
         try:
             responses = run_with_retry(
-                lambda: self.backend.generate(prompts),
+                partial(self.backend.generate, prompts),
                 self.retry,
                 breaker=self.breaker,
                 clock=self._clock,
                 sleep=self._sleep,
-                on_retry=on_retry,
+                on_retry=self._count_retry,
             )
         except (BackendError, CircuitOpenError) as exc:
-            self.stats.add("failures", error_class(exc))
+            self.stats.add("failures", _error_class(exc))
             self.stats.add(
                 "circuit_opens", n=self.breaker.times_opened - opened_before
             )
@@ -308,13 +321,13 @@ class MatchingEngine:
             self._fallback_batch(batch)
             return
         self.stats.sample("latency", elapsed, len(prompts))
-        answered = [
-            (item, response, bool(parse_yes_no(response)))
-            for item, response in zip(batch, responses)
-        ]
-        for item, response, decision in answered:
+        decisions = [self.verdict(response) for response in responses]
+        for item, response, decision in zip(batch, responses, decisions):
             self.cache.put(item.prompt, (response, decision))
             item.resolve(response, decision, "backend")
+
+    def _count_retry(self, attempt: int, exc: Exception) -> None:
+        self.stats.add("retries", _error_class(exc))
 
     def _fallback_batch(self, batch: list[_Pending]) -> None:
         """Answer a failed batch with the degraded threshold matcher.
@@ -337,3 +350,12 @@ class MatchingEngine:
         self.stats.add("fallbacks", n=sum(item.claims for item in batch))
         for item, decision in zip(batch, decisions):
             item.resolve(None, bool(decision), "fallback")
+
+
+def _error_class(exc: Exception) -> str:
+    """The error counter a failed backend attempt lands in."""
+    if isinstance(exc, BackendTimeout):
+        return "timeouts"
+    if isinstance(exc, CircuitOpenError):
+        return "circuit_open"
+    return "transport_errors"

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from difflib import SequenceMatcher
-from typing import Iterable
 
 import numpy as np
 
@@ -185,15 +184,59 @@ assert all(FEATURE_GROUPS[n] == "scholar" for n in _SCHOLAR)
 assert FEATURE_NAMES[32:] == ("bias",)
 
 
-def _counts(flags: Iterable[int]) -> tuple[int, ...]:
+#: per category, the table ``bytes.translate`` maps each category byte
+#: through to 1 when it carries the category's bit and to 0 otherwise.
+_BIT_TABLES = tuple(
+    bytes(1 if value & bit else 0 for value in range(256)) for bit in _CATEGORIES
+)
+
+
+def _counts(flags: bytes) -> tuple[int, ...]:
     """Per category (code, rare, numeric, long, version, unit): how many
     of the category bytes *flags* carry its bit."""
-    return tuple(sum(1 for f in flags if f & bit) for bit in _CATEGORIES)
+    translate = flags.translate
+    return tuple([translate(table).count(1) for table in _BIT_TABLES])
 
 
-def _grams(padded: str) -> set[str]:
-    """The character 3-grams of a padded token text."""
-    return {padded[i: i + 3] for i in range(len(padded) - 2)}
+def _grams(padded: str) -> set[tuple[str, str, str]]:
+    """The character 3-grams of a padded token text, as character triples.
+
+    A triple stands for the 3-character string it spells (the map is one
+    to one), so set sizes and intersection sizes are those of the string
+    3-grams; zipping three shifted copies is cheaper than slicing each.
+    """
+    return set(zip(padded, padded[1:], padded[2:]))
+
+
+#: token -> (category byte, canonical edition or None).
+_Classes = dict[str, tuple[int, str | None]]
+
+
+def _classify(token: str) -> tuple[int, str | None]:
+    """The category byte of one expanded token, and its canonical edition.
+
+    Tokens only hold [a-z0-9./-], so a token that is not all letters or
+    all digits is the only one that needs a character scan.
+    """
+    size = len(token)
+    if token.isalpha():
+        flag = (_LONG if size >= 5 else 0) | (_RARE if size >= 8 else 0)
+        if token[0] == "x" and _VERSION_RE.match(token):
+            flag |= _VER
+        return flag, _EDITION_CANON.get(token)
+    if token.isdigit():
+        digit, code = True, 2 <= size <= 4
+    else:
+        digit = any(c.isdigit() for c in token)
+        code = digit and any(c.isalpha() for c in token)
+    flag = (_CODE | _RARE) if code else (_RARE if size >= 8 else 0)
+    if digit:
+        flag |= _NUM
+        if _VERSION_RE.match(token):
+            flag |= _VER
+        if _UNIT_RE.match(token):
+            flag |= _UNIT
+    return flag, None
 
 
 class RecordView:
@@ -203,15 +246,22 @@ class RecordView:
     :func:`combine_views`.  Views are immutable and compact: no view
     holds the character 3-gram set or difflib's index of the second
     sequence, which would each cost more than the rest of the view (both
-    are rebuilt per pair).
+    are rebuilt per pair).  Nor does a view count its 3-grams: counting
+    them means building the set, and the two sets a pair builds give
+    both counts.
+
+    *classes* holds the category byte and canonical edition of every
+    token classified so far; a :class:`FeatureMemo` hands all its views
+    one table, so a token that recurs across descriptions is classified
+    once.
     """
 
     __slots__ = (
-        "padded", "n_grams", "joined", "n_tokens", "first", "tokens", "flags",
+        "padded", "joined", "n_tokens", "first", "tokens", "flags",
         "counts", "editions", "skus", "scholar",
     )
 
-    def __init__(self, description: str) -> None:
+    def __init__(self, description: str, classes: _Classes | None = None) -> None:
         raw = tokenize(description)
         # Identifying evidence frequently appears joined in one listing and
         # separated in another ('pg-730' vs 'pg 730'); comparing on the set
@@ -235,42 +285,27 @@ class RecordView:
         #: the token text padded for character 3-grams (all tokens), and
         #: the SKU-stripped token text difflib compares when it differs.
         self.padded = f"  {' '.join(raw)}  "
-        self.n_grams = len(_grams(self.padded))
         self.joined = " ".join(tokens) if skus else None
         self.n_tokens = len(tokens)
         self.first = tokens[0] if tokens else None
 
-        # One pass over the expanded set: each token's category byte.
-        # Tokens only hold [a-z0-9./-], so a token that is not all letters
-        # or all digits is the only one that needs a character scan.
+        # Each token's category byte and canonical edition, from *classes*
+        # or classified on a miss.
+        if classes is None:
+            classes = {}
         flags, editions = bytearray(), None
         for token in expanded:
-            size = len(token)
-            if token.isalpha():
-                flag = (_LONG if size >= 5 else 0) | (_RARE if size >= 8 else 0)
-                if token[0] == "x" and _VERSION_RE.match(token):
-                    flag |= _VER
-                canon = _EDITION_CANON.get(token)
-                if canon is not None:
-                    editions = editions or set()
-                    editions.add(canon)
-            else:
-                if token.isdigit():
-                    digit, code = True, 2 <= size <= 4
-                else:
-                    digit = any(c.isdigit() for c in token)
-                    code = digit and any(c.isalpha() for c in token)
-                flag = (_CODE | _RARE) if code else (_RARE if size >= 8 else 0)
-                if digit:
-                    flag |= _NUM
-                    if _VERSION_RE.match(token):
-                        flag |= _VER
-                    if _UNIT_RE.match(token):
-                        flag |= _UNIT
+            found = classes.get(token)
+            if found is None:
+                found = classes[token] = _classify(token)
+            flag, canon = found
             flags.append(flag)
+            if canon is not None:
+                editions = editions or set()
+                editions.add(canon)
         self.tokens = tuple(expanded)
         self.flags = bytes(flags)
-        self.counts = _counts(flags)
+        self.counts = _counts(self.flags)
         self.editions = frozenset(editions) if editions else _EMPTY
         self.skus = frozenset(skus) if skus else _EMPTY
 
@@ -356,17 +391,18 @@ def combine_views(a: RecordView, b: RecordView) -> list[float]:
     """The feature row of the pair (left view *a*, right view *b*)."""
     small, big = (a, b) if len(a.tokens) <= len(b.tokens) else (b, a)
     members = set(big.tokens)
-    shared = [f for t, f in zip(small.tokens, small.flags) if t in members]
+    shared = bytes([f for t, f in zip(small.tokens, small.flags) if t in members])
     s_code, s_rare, s_num, s_long, s_ver, s_unit = _counts(shared)
     a_code, a_rare, a_num, a_long, a_ver, a_unit = a.counts
     b_code, b_rare, b_num, b_long, b_ver, b_unit = b.counts
 
     na, nb, s_tok = len(a.tokens), len(b.tokens), len(shared)
-    denom = math.sqrt(a.n_grams * b.n_grams)
+    grams_a, grams_b = _grams(a.padded), _grams(b.padded)
+    denom = math.sqrt(len(grams_a) * len(grams_b))
     row = [
         _ratio(s_tok, na, nb),
         s_tok / min(na, nb) if na and nb else 0.0,
-        len(_grams(a.padded) & _grams(b.padded)) / denom if denom else 0.0,
+        len(grams_a & grams_b) / denom if denom else 0.0,
         _seq_ratio(_text(a), _text(b)),
         (min(a.n_tokens, b.n_tokens) / max(a.n_tokens, b.n_tokens)
          if a.n_tokens and b.n_tokens else 0.0),
@@ -446,25 +482,32 @@ class FeatureMemo:
 
     In-process backends create one each and pass it down to
     :func:`featurize_pairs`, so a description seen in many candidate
-    pairs is tokenized and classified once, and the views die with the
-    backend that built them.  Nothing per pair is kept.  A memo holds
-    about ``MAX_VIEWS`` views (~1 KB each); the insert that would pass
-    the bound starts it over, which costs rebuilds and never a wrong row.
+    pairs is tokenized once, a token that recurs across descriptions is
+    classified once, and the views die with the backend that built
+    them.  Nothing per pair is kept, and no view holds 3-gram data:
+    :func:`combine_views` builds a pair's two 3-gram sets and reads
+    their sizes from them.  A memo holds about ``MAX_VIEWS`` views
+    (~1 KB each) and the classes of their tokens; the insert that would
+    pass the bound starts both over, which costs rebuilds and never a
+    wrong row.
 
     Safe to share between threads without a lock: a view is complete
     before it is stored, and a lookup, an insert and a clear are each
-    atomic.  Two threads that miss on the same description both build it
-    and store equal views (the later store wins), and two threads that
-    find the memo full may both clear it, so a race costs rebuilds, may
-    hold a view or two past the bound, and never gives a wrong row.
+    atomic.  Two threads that miss on the same description (or token)
+    both build it and store equal values (the later store wins), and two
+    threads that find the memo full may both clear it, so a race costs
+    rebuilds, may hold a view or two past the bound, and never gives a
+    wrong row.
     """
 
-    __slots__ = ("_views",)
+    __slots__ = ("_views", "_classes")
 
     MAX_VIEWS = 8192
 
     def __init__(self) -> None:
         self._views: dict[str, RecordView] = {}
+        #: every token its views hold, classified (see :class:`RecordView`).
+        self._classes: _Classes = {}
 
     def __len__(self) -> int:
         return len(self._views)
@@ -475,7 +518,8 @@ class FeatureMemo:
         if found is None:
             if len(self._views) >= self.MAX_VIEWS:
                 self._views.clear()
-            found = RecordView(description)
+                self._classes.clear()
+            found = RecordView(description, self._classes)
             self._views[description] = found
         return found
 

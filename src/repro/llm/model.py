@@ -92,7 +92,7 @@ class ChatModel:
             return np.zeros(0)
         x = self.prior.observe(pairs, memo)
         w = self.prior.v @ self.W0
-        if memo is None:
+        if memo is None or len(x) == 1:
             scores = self._linear_scores(x, w)
         else:
             scores = np.concatenate(

@@ -58,15 +58,17 @@ def extract_entities(prompt: str) -> tuple[str, str]:
     )
 
 
+#: a known template by the quoted question line it renders first.
+_BY_QUESTION_LINE = {f'"{t.question}"': t for t in PROMPTS.values()}
+
+
 def identify_prompt(prompt: str) -> PromptTemplate | None:
     """Identify which known template a prompt was rendered from.
 
-    Returns None for custom wordings (their bias is then derived from the
-    raw question text instead of a template name).
+    Only the prompt's first line, the quoted question, is compared, and
+    it must equal a known template's exactly: a description that quotes
+    a template's question does not change which template the prompt
+    was rendered from.  Returns None for custom wordings (their bias is
+    then derived from the raw question text instead of a template name).
     """
-    for template in sorted(
-        PROMPTS.values(), key=lambda t: len(t.question), reverse=True
-    ):
-        if template.question in prompt:
-            return template
-    return None
+    return _BY_QUESTION_LINE.get(prompt.partition("\n")[0])

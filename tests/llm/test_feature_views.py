@@ -270,6 +270,10 @@ class TestViewsMatchReference:
                 row = featurize_pairs([_pair(left, right)], memo)[0]
                 assert row.tobytes() == reference_featurize(left, right).tobytes()
                 assert len(memo) <= 2
+                # The token classes start over with the views they serve.
+                assert set(memo._classes) == {
+                    t for view in memo._views.values() for t in view.tokens
+                }
 
     def test_threads_filling_a_small_memo_get_exact_rows(self, monkeypatch):
         monkeypatch.setattr(FeatureMemo, "MAX_VIEWS", 3)

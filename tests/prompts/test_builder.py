@@ -4,9 +4,11 @@ import pytest
 
 from repro.prompts.builder import build_matching_prompt, extract_entities, identify_prompt
 from repro.prompts.templates import (
+    COMPLEX_FORCE,
     DEFAULT_PROMPT,
     PROMPTS,
     SIMPLE_FORCE,
+    PromptTemplate,
     escape_description,
     unescape_description,
 )
@@ -69,6 +71,36 @@ class TestIdentifyPrompt:
 
     def test_unknown_returns_none(self):
         assert identify_prompt('"Some custom question?"\nEntity 1: a\nEntity 2: b') is None
+
+    @pytest.mark.parametrize("template", list(PROMPTS.values()), ids=list(PROMPTS))
+    @pytest.mark.parametrize("quoted", list(PROMPTS.values()), ids=list(PROMPTS))
+    def test_a_description_quoting_a_question_changes_nothing(
+        self, template, quoted
+    ):
+        prompt = template.render("Sony camera " + quoted.question, "Sony camera")
+        assert identify_prompt(prompt) is template
+        prompt = template.render("Sony camera", f'"{quoted.question}"')
+        assert identify_prompt(prompt) is template
+
+    def test_the_model_answers_the_rendered_template(self):
+        # The default prompt is free, so the zero-shot answer is verbose;
+        # identified as the longer, forced complex-force question quoted
+        # in the description it was a bare "No.".
+        from repro.llm.model import build_model
+
+        prompt = DEFAULT_PROMPT.render(
+            "Sony camera " + COMPLEX_FORCE.question, "Sony camera"
+        )
+        answer = build_model("llama-3.1-8b").complete(prompt)
+        assert answer not in ("Yes.", "No.")
+
+    def test_a_custom_question_containing_a_known_one_is_custom(self):
+        custom = PromptTemplate(
+            name="custom",
+            question="Context first. " + SIMPLE_FORCE.question,
+            forced=False,
+        )
+        assert identify_prompt(custom.render("a", "b")) is None
 
 
 class TestBuildMatchingPrompt:
