@@ -86,7 +86,6 @@ async def _run_once(offered_load: float, requests: int) -> dict[str, object]:
     gateway = Gateway(
         router,
         queue_capacity=QUEUE_CAPACITY,
-        batch_size=BATCH_SIZE,
         workers=1,
     )
     async with gateway:

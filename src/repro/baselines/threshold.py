@@ -7,11 +7,13 @@ F1.  The simplest credible baseline for the benchmarks.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from repro.datasets.schema import Split
 from repro.eval.metrics import f1_score
-from repro.llm.features import FEATURE_NAMES, featurize_pairs
+from repro.llm.features import FEATURE_NAMES, featurize_pairs, featurize_texts
 
 __all__ = ["ThresholdMatcher"]
 
@@ -31,6 +33,19 @@ class ThresholdMatcher:
 
     def predict(self, split: Split) -> np.ndarray:
         return self.scores(split) >= self.threshold
+
+    def decide(self, pairs: Iterable[tuple[str, str]]) -> list[bool]:
+        """:meth:`predict` over ``(left, right)`` description pairs.
+
+        Same bits as ``predict`` on a split of these pairs, without
+        building one: the engine's fallback and the gateway's degraded
+        answers call it on every failed batch or overloaded request.
+        """
+        index, threshold = self._index, self.threshold
+        return [
+            bool(featurize_texts(left, right)[index] >= threshold)
+            for left, right in pairs
+        ]
 
     def fit(self, train: Split) -> "ThresholdMatcher":
         """Pick the F1-maximizing threshold on *train* (in place)."""

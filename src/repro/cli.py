@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request relative deadline (default: none)")
     serve.add_argument("--queue-capacity", type=int, default=32)
     serve.add_argument("--batch-size", type=int, default=8,
-                       help="dispatch chunk size (micro-batch ceiling)")
+                       help="each engine's batch size, which also caps "
+                       "the gateway's dispatch chunks")
     serve.add_argument("--max-concurrency", type=int, default=None,
                        help="global cap on admitted in-flight requests")
     serve.add_argument("--rate", type=float, default=None,
@@ -991,7 +992,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         router,
         admission,
         queue_capacity=args.queue_capacity,
-        batch_size=args.batch_size,
         workers=0,
         clock=clock,
         degrade_on_overload=not args.shed_only,

@@ -4,7 +4,7 @@ The experiment code drives models through two one-shot paths — local
 in-process inference and the asynchronous batch API.  This package adds
 the online layer a production matcher needs on top of them: a
 :class:`MatchingEngine` that deduplicates and normalizes incoming match
-requests, serves repeats from a bounded LRU+TTL :class:`ResultCache`,
+requests, serves repeats from a bounded LRU :class:`ResultCache`,
 micro-batches cache misses (flush at the batch size, drain at the end of
 a call), and calls the backends through a
 :class:`RetryPolicy` with a :class:`CircuitBreaker` that degrades to the

@@ -1,13 +1,10 @@
-"""Bounded LRU + TTL cache for match results (thread-safe).
+"""Bounded LRU cache for match results (thread-safe).
 
 Keys are normalized prompt strings; values are whatever the engine stores
 (response text plus parsed decision).  Capacity is bounded: inserting into
-a full cache evicts the least-recently-used entry.  An optional TTL bounds
-staleness: entries older than ``ttl`` seconds (measured by the injected
-clock) are treated as absent and dropped on access.
-
-The clock is injectable so tests control time explicitly; the default is
-``time.monotonic`` (wall-clock jumps must not expire entries).
+a full cache evicts the least-recently-used entry.  Entries never expire:
+a prompt's answer does not change while its model does, and fallback
+answers are never stored (the ``fallback-cache`` lint rule).
 
 Every access to the entry map happens under one re-entrant lock, so the
 cache may be shared by any number of engine threads.  The guarded fields
@@ -18,9 +15,8 @@ linter checks against the actual lock regions.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Annotated, Callable, Generic, Hashable, TypeVar
+from typing import Annotated, Generic, Hashable, TypeVar
 
 from repro.concurrency import guarded_by
 
@@ -33,30 +29,19 @@ _MISSING = object()
 
 
 class ResultCache(Generic[K, V]):
-    """LRU cache with optional per-entry time-to-live."""
+    """Bounded LRU cache."""
 
-    #: key → (value, stored_at); insertion order tracks recency (last = MRU).
-    _entries: Annotated["OrderedDict[K, tuple[V, float]]", guarded_by("_lock")]
+    #: key → value; insertion order tracks recency (last = MRU).
+    _entries: Annotated["OrderedDict[K, V]", guarded_by("_lock")]
     evictions: Annotated[int, guarded_by("_lock")]
-    expirations: Annotated[int, guarded_by("_lock")]
 
-    def __init__(
-        self,
-        max_size: int = 4096,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_size: int = 4096) -> None:
         if max_size <= 0:
             raise ValueError("max_size must be positive")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None to disable)")
         self.max_size = max_size
-        self.ttl = ttl
-        self._clock = clock
         self._lock = threading.RLock()
         self._entries = OrderedDict()
         self.evictions = 0
-        self.expirations = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -66,15 +51,10 @@ class ResultCache(Generic[K, V]):
         return self.get(key, default=_MISSING, touch=False) is not _MISSING
 
     def get(self, key: K, default: V | None = None, touch: bool = True):
-        """Return the live value for *key* (refreshing recency) or *default*."""
+        """Return the value for *key* (refreshing recency) or *default*."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return default
-            value, stored_at = entry
-            if self.ttl is not None and self._clock() - stored_at >= self.ttl:
-                del self._entries[key]
-                self.expirations += 1
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
                 return default
             if touch:
                 self._entries.move_to_end(key)
@@ -85,7 +65,7 @@ class ResultCache(Generic[K, V]):
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (value, self._clock())
+            self._entries[key] = value
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
                 self.evictions += 1

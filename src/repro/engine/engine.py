@@ -10,6 +10,7 @@ Request lifecycle::
         the remainder when the call runs out of input
       → Backend.generate under RetryPolicy + CircuitBreaker
           ──exhausted / circuit open──→ threshold-baseline fallback
+            (``ThresholdMatcher.decide`` over the batch's descriptions)
       → parse answer (one parse per response text), fill cache, resolve
         the call's slots, update EngineStats
 
@@ -18,7 +19,13 @@ The engine accepts ad-hoc description pairs, labelled
 candidate streams from :mod:`repro.blocking`.  Descriptions taken from
 ``EntityPair`` objects are used verbatim (so the engine path is
 bit-identical to the evaluator's sequential path); raw string input is
-whitespace-normalized first, since online callers send unsanitized text.
+whitespace-normalized first (:func:`normalize`), since online callers
+send unsanitized text.
+
+The serve gateway reads its engine's decisions rather than copying them:
+it cuts dispatch chunks at :attr:`MatchingEngine.batch_size`, asks
+``engine.breaker.cooling()`` before dispatching, and answers degraded
+requests with :func:`normalize` and ``ThresholdMatcher.decide``.
 
 One caller: an engine serves one :meth:`MatchingEngine.match_pairs` call
 at a time, like a ``dict``, and takes no lock.  Its callers (the
@@ -43,7 +50,7 @@ import numpy as np
 
 from repro.baselines.threshold import ThresholdMatcher
 from repro.blocking.base import BlockingResult
-from repro.datasets.schema import EntityPair, Record, Split
+from repro.datasets.schema import EntityPair, Split
 from repro.engine.backends import Backend, make_backend
 from repro.engine.cache import ResultCache
 from repro.engine.retry import (
@@ -59,7 +66,17 @@ from repro.llm.model import ChatModel
 from repro.llm.parsing import parse_yes_no
 from repro.prompts.templates import DEFAULT_PROMPT, PromptTemplate
 
-__all__ = ["MatchResult", "MatchingEngine"]
+__all__ = ["MatchResult", "MatchingEngine", "normalize"]
+
+
+def normalize(text: str) -> str:
+    """Whitespace-normalize one raw description (runs folded, ends cut).
+
+    What the engine applies to raw string pairs, and what the gateway
+    applies to the pairs it answers degraded, so both ask the threshold
+    matcher about the same text.
+    """
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,6 @@ class MatchingEngine:
         batch_size: int = 32,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        fallback: ThresholdMatcher | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -118,15 +134,16 @@ class MatchingEngine:
             raise ValueError("batch_size must be positive")
         self.backend = backend
         self.template = template
-        self.cache = cache if cache is not None else ResultCache(clock=clock)
-        #: unique prompts per micro-batch, the only place batches are cut.
+        self.cache = cache if cache is not None else ResultCache()
+        #: unique prompts per micro-batch, the only batching knob: the
+        #: gateway's chunks for this engine are cut at it too.
         self.batch_size = batch_size
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker(clock=clock)
-        #: degraded matcher used while the backend is unhealthy.  The
-        #: default threshold is the uncalibrated 0.5 similarity cut — call
+        #: degraded matcher used while the backend is unhealthy.  Its
+        #: threshold is the uncalibrated 0.5 similarity cut — call
         #: ``fallback.fit(train_split)`` for a calibrated one.
-        self.fallback = fallback if fallback is not None else ThresholdMatcher()
+        self.fallback = ThresholdMatcher()
         self.stats = EngineStats()
         self._clock = clock
         self._sleep = sleep
@@ -267,7 +284,7 @@ class MatchingEngine:
         if isinstance(pair, EntityPair):
             return pair.left.description, pair.right.description
         left, right = pair
-        return " ".join(left.split()), " ".join(right.split())
+        return normalize(left), normalize(right)
 
     def verdict(self, response: str) -> bool:
         """The decision *response* parses to: ``bool(parse_yes_no(response))``.
@@ -335,21 +352,10 @@ class MatchingEngine:
         Fallback answers are *not* cached: once the backend recovers, the
         same pair should get a real model answer again.
         """
-        pairs = [
-            EntityPair(
-                pair_id=f"fallback-{i}",
-                left=Record(record_id=f"fb-{i}-l", attributes={},
-                            description=item.left),
-                right=Record(record_id=f"fb-{i}-r", attributes={},
-                             description=item.right),
-                label=False,
-            )
-            for i, item in enumerate(batch)
-        ]
-        decisions = self.fallback.predict(Split(name="fallback", pairs=pairs))
+        decisions = self.fallback.decide((item.left, item.right) for item in batch)
         self.stats.add("fallbacks", n=sum(item.claims for item in batch))
         for item, decision in zip(batch, decisions):
-            item.resolve(None, bool(decision), "fallback")
+            item.resolve(None, decision, "fallback")
 
 
 def _error_class(exc: Exception) -> str:

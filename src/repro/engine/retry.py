@@ -128,14 +128,25 @@ class CircuitBreaker:
         default_factory=threading.RLock, init=False, repr=False, compare=False
     )
 
+    def cooling(self) -> bool:
+        """Whether the breaker is open with cooldown left (fail fast).
+
+        Reads the clock only while open.  A read-only peek: the move to
+        half-open is :meth:`allow`'s.
+        """
+        with self._lock:
+            return (
+                self.state == "open"
+                and self.clock() - self.opened_at < self.cooldown
+            )
+
     def allow(self) -> bool:
         """Whether a call may proceed right now (may move open → half-open)."""
         with self._lock:
-            if self.state == "open":
-                if self.clock() - self.opened_at >= self.cooldown:
-                    self.state = "half-open"
-                    return True
+            if self.cooling():
                 return False
+            if self.state == "open":
+                self.state = "half-open"
             return True
 
     def record_success(self) -> None:

@@ -23,7 +23,7 @@ __all__ = []
 _ENGINE_SCOPE = "repro/engine"
 _EVAL_SCOPE = "repro/eval"
 #: packages whose time handling must flow through injectable seams: the
-#: engine (retry backoff, cache TTLs), the fault injectors (simulated
+#: engine (retry backoff, breaker cooldowns), the fault injectors (simulated
 #: timeouts), serving (batch polling), and the gateway (queue deadlines,
 #: load replay) are all driven on simulated clocks by tests and the
 #: chaos harnesses.

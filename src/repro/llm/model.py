@@ -379,7 +379,9 @@ def _parse_prompt(prompt: str) -> tuple[str, str, PromptTemplate]:
     left, right = extract_entities(prompt)
     template = identify_prompt(prompt)
     if template is None:
-        question = prompt.splitlines()[0].strip('" ')
+        # The line identify_prompt reads and PromptTemplate.render
+        # writes: a question may hold \r or other str.splitlines breaks.
+        question = prompt.partition("\n")[0].strip('" ')
         template = PromptTemplate(name="custom", question=question, forced=False)
     return left, right, template
 

@@ -664,10 +664,7 @@ class ResolutionStore:
 
         Like :meth:`snapshot`, requires a journaled, quiescent store.
         """
-        import json as _json
-        import os as _os
-
-        from repro.faults.journal import JOURNAL_VERSION, JournalWriter, fsync_dir
+        from repro.faults.journal import JOURNAL_VERSION, JournalWriter
 
         snapshot_path = self.snapshot()
         seq = self.journal_seq()
@@ -682,13 +679,9 @@ class ResolutionStore:
             "index": index_name,
             "basis": seq,
         }
-        tmp = journal_path.with_name(journal_path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(_json.dumps(header, sort_keys=True, ensure_ascii=True) + "\n")
-            handle.flush()
-            _os.fsync(handle.fileno())
-        _os.replace(tmp, journal_path)
-        fsync_dir(journal_path.parent)
+        # The header-only journal is one JSON line, written as atomically
+        # as a snapshot document.
+        write_snapshot_doc(journal_path, header)
         self._journal = JournalWriter(journal_path)
         self._seq_at_open = seq
         return snapshot_path

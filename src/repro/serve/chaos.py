@@ -154,7 +154,6 @@ def chaos_serve(
     kinds: tuple = FAULT_KINDS,
     requests: int = 96,
     tenants: int = 2,
-    batch_size: int = 8,
 ) -> ServeChaosReport:
     """One gateway chaos run: fault-injected serving + invariant checks."""
     pairs = synthetic_pairs(requests, seed=seed)
@@ -171,7 +170,6 @@ def chaos_serve(
     gateway = Gateway(
         router,
         queue_capacity=max(requests, 1),
-        batch_size=batch_size,
         workers=0,
         clock=clock,
     )
@@ -205,9 +203,7 @@ def chaos_serve(
     violations += _degradation_violations(responses)
 
     if fault_rate == 0.0:
-        violations += _transparency_violations(
-            responses, pairs, seed, batch_size
-        )
+        violations += _transparency_violations(responses, pairs, seed)
 
     return ServeChaosReport(
         seed=seed,
@@ -227,20 +223,20 @@ def _transparency_violations(
     responses: "list[MatchResponse]",
     pairs: "list[tuple[str, str]]",
     seed: int,
-    batch_size: int,
 ) -> list[str]:
     """Rate-0 check: gateway answers == un-wrapped engine, byte for byte.
 
     The baseline engine shares every knob with the chaos engine (same
-    batch size, retry, breaker — see ``chaos_engine_on``) and
-    is fed the same pairs in the same persona-contiguous chunks the
-    gateway dispatched, so the only difference left is the gateway
+    batch size, retry, breaker — see ``chaos_engine_on``) and is fed
+    the same pairs in the same chunks the gateway dispatched (cut at
+    that shared batch size), so the only difference left is the gateway
     wrapping itself.
     """
     plain = chaos_engine_on(ParityBackend(), ManualClock(), seed)
+    size = plain.batch_size
     baseline = []
-    for i in range(0, len(pairs), batch_size):
-        baseline.extend(plain.match_pairs(pairs[i:i + batch_size]))
+    for i in range(0, len(pairs), size):
+        baseline.extend(plain.match_pairs(pairs[i:i + size]))
     problems = []
     for response, want in zip(responses, baseline):
         got = (response.decision, response.response, response.source)

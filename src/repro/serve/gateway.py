@@ -9,12 +9,13 @@ Request lifecycle::
       → bounded request queue
           — full → graceful degradation (threshold answer, source="degraded")
                    or load shed (503) when degradation is disabled
-      → the dispatcher dequeues a persona-contiguous chunk
+      → the dispatcher dequeues a persona-contiguous chunk of at most
+        that persona's engine ``batch_size`` requests
           — deadline re-check: anything that expired while queued → 504
-          — circuit breaker open → degraded answers without touching the
-            backend
+          — engine breaker cooling (``CircuitBreaker.cooling``) → degraded
+            answers without touching the backend
           — otherwise the chunk goes through ``MatchingEngine.match_pairs``
-            (the engine cuts it into micro-batches)
+            (never more than one of the engine's micro-batches)
       → the chunk is handed back once: each outcome counted with one
         stats add per (outcome, lanes) group, then one
         ``loop.call_soon_threadsafe(_set_results, ...)`` per submitting
@@ -39,10 +40,17 @@ dispatcher.  Two drive modes share all of that code path:
   :class:`~repro.faults.clock.ManualClock` a whole serving session is a
   pure function of its inputs.
 
+Every decision the engine owns is read from the engine, not copied:
+the chunk size is its ``batch_size``, the breaker rule its breaker's
+:meth:`~repro.engine.retry.CircuitBreaker.cooling`, and degraded
+answers come from the method its fallback uses,
+:meth:`~repro.baselines.threshold.ThresholdMatcher.decide`, over
+descriptions cleaned by its :func:`~repro.engine.engine.normalize`.
+
 Time never comes from the ambient clock: the constructor takes ``clock``
-(and the queue wait accounting, deadline checks, and breaker reads all
-go through it), so the ``injectable-sleep`` lint rule holds for this
-package too.
+(the queue wait accounting and deadline checks go through it; the
+breaker reads its own injected clock), so the ``injectable-sleep`` lint
+rule holds for this package too.
 """
 
 from __future__ import annotations
@@ -56,8 +64,7 @@ from typing import Annotated, Callable, Sequence
 
 from repro.baselines.threshold import ThresholdMatcher
 from repro.concurrency import guarded_by, shutdown_order
-from repro.datasets.schema import EntityPair, Record, Split
-from repro.engine.engine import MatchingEngine
+from repro.engine.engine import normalize
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import MatchRequest, MatchResponse
 from repro.serve.router import PersonaRouter, UnknownPersonaError
@@ -110,16 +117,12 @@ class Gateway:
         admission: AdmissionController | None = None,
         *,
         queue_capacity: int = 256,
-        batch_size: int = 32,
         workers: int = 0,
         clock: Callable[[], float] = time.monotonic,
-        fallback: ThresholdMatcher | None = None,
         degrade_on_overload: bool = True,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if workers not in (0, 1):
             raise ValueError(
                 "workers must be 0 (inline pump) or 1 (one dispatch "
@@ -128,13 +131,13 @@ class Gateway:
         self.router = router
         self.admission = admission
         self.queue_capacity = queue_capacity
-        self.batch_size = batch_size
         self.workers = workers
         self.stats = GatewayStats()
-        #: gateway-level degraded matcher (overload / open breaker); the
-        #: same threshold baseline the engine falls back to, so degraded
-        #: answers stay checkable against a standalone ThresholdMatcher.
-        self.fallback = fallback if fallback is not None else ThresholdMatcher()
+        #: degraded matcher (overload / cooling breaker): the threshold
+        #: baseline the engine falls back to, uncalibrated like the
+        #: engine's default, so degraded answers stay checkable against
+        #: a standalone ThresholdMatcher.
+        self.fallback = ThresholdMatcher()
         self.degrade_on_overload = degrade_on_overload
         self._clock = clock
         self._queue: "deque[_QueuedRequest]" = deque()
@@ -295,7 +298,7 @@ class Gateway:
                         self._error = exc
 
     def _take_chunk(self, block: bool) -> "list[_QueuedRequest] | None":
-        """Pop up to ``batch_size`` same-persona items from the queue head.
+        """Pop up to the engine's ``batch_size`` same-persona items.
 
         Grouping is persona-contiguous so dispatch order stays the
         arrival order — a chunk never overtakes an earlier request bound
@@ -308,10 +311,20 @@ class Gateway:
             if not self._queue:
                 return None if (block and self._closed) else []
             persona = self._queue[0].persona
+        # Outside _cv: a first lookup builds the engine, and submitters
+        # must not wait on that.  The head stays put meanwhile: this is
+        # the one dequeuing side, and submitters only append.
+        try:
+            size = self.router.engine(persona).batch_size
+        except Exception:
+            # No engine, no batch size: take the head alone; _process
+            # meets the same error and answers it degraded.
+            size = 1
+        with self._cv:
             chunk = []
             while (
                 self._queue
-                and len(chunk) < self.batch_size
+                and len(chunk) < size
                 and self._queue[0].persona == persona
             ):
                 chunk.append(self._queue.popleft())
@@ -339,19 +352,20 @@ class Gateway:
         try:
             if not live:
                 return
-            engine = self.router.engine(persona)
-            if self._breaker_open(engine, now):
-                answered += self._degrade(live, reason="circuit_open")
-                return
             try:
+                engine = self.router.engine(persona)
+                if engine.breaker.cooling():
+                    answered += self._degrade(live, reason="circuit_open")
+                    return
                 results = engine.match_pairs(
                     [(item.request.left, item.request.right) for item in live]
                 )
             except Exception:
                 # The engine's own retry/fallback machinery answers
-                # transport failures internally; anything escaping here is
-                # unexpected — degrade the chunk so no caller hangs, then
-                # let the error surface. (SimulatedCrash derives from
+                # transport failures internally; anything escaping here
+                # (an engine that failed to build, too) is unexpected —
+                # degrade the chunk so no caller hangs, then let the
+                # error surface. (SimulatedCrash derives from
                 # BaseException and sails past this handler by design.)
                 answered += self._degrade(live, reason="dispatch_error")
                 raise
@@ -393,50 +407,19 @@ class Gateway:
 
     # ------------------------------------------------------------ degradation
 
-    @staticmethod
-    def _breaker_open(engine: MatchingEngine, now: float) -> bool:
-        """Whether the engine's breaker is open with cooldown remaining.
-
-        A peek at the breaker's state from the dispatcher, the engine's
-        one caller: the engine re-checks it on dispatch.
-        """
-        breaker = engine.breaker
-        return (
-            breaker.state == "open"
-            and now - breaker.opened_at < breaker.cooldown
-        )
-
-    @staticmethod
-    def _normalize(text: str) -> str:
-        """Whitespace normalization, matching the engine's raw-pair path."""
-        return " ".join(text.split())
-
     def _degraded_decisions(
-        self, pairs: "list[tuple[str, str]]"
+        self, requests: "list[MatchRequest]"
     ) -> "list[bool]":
-        split = Split(
-            name="degraded",
-            pairs=[
-                EntityPair(
-                    pair_id=f"degraded-{i}",
-                    left=Record(record_id=f"dg-{i}-l", attributes={},
-                                description=self._normalize(left)),
-                    right=Record(record_id=f"dg-{i}-r", attributes={},
-                                 description=self._normalize(right)),
-                    label=False,
-                )
-                for i, (left, right) in enumerate(pairs)
-            ],
+        """Threshold answers for *requests*, on normalized descriptions."""
+        return self.fallback.decide(
+            (normalize(r.left), normalize(r.right)) for r in requests
         )
-        return [bool(d) for d in self.fallback.predict(split)]
 
     def _degrade(
         self, items: "list[_QueuedRequest]", reason: str
     ) -> "list[tuple[str, _QueuedRequest, MatchResponse]]":
         """Answer *items* with the gateway's threshold matcher."""
-        decisions = self._degraded_decisions(
-            [(item.request.left, item.request.right) for item in items]
-        )
+        decisions = self._degraded_decisions([item.request for item in items])
         return [
             ("degraded", item, MatchResponse(
                 request=item.request,
@@ -482,7 +465,7 @@ class Gateway:
         )
         self._release(request.tenant)
         if outcome == "degraded":
-            [decision] = self._degraded_decisions([(request.left, request.right)])
+            [decision] = self._degraded_decisions([request])
             return self._response(
                 request, "ok", persona=persona, reason=reason,
                 decision=decision, source="degraded",

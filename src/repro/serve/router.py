@@ -53,13 +53,14 @@ class PersonaRouter:
         default: str = "llama-3.1-8b",
         personas: Iterable[str] | None = None,
         engine_factory: Callable[[str], MatchingEngine] | None = None,
-        batch_size: int = 32,
     ) -> None:
         """Serve *personas* (default: every registered persona).
 
         *engine_factory(name)* builds the engine for one canonical
         persona; the default is the paper-faithful
-        ``MatchingEngine.for_model`` path.
+        ``MatchingEngine.for_model`` path.  Each engine's knobs, its
+        ``batch_size`` among them, are the factory's: the gateway cuts a
+        persona's chunks at its engine's ``batch_size``.
         """
         allowed = tuple(personas) if personas is not None else MODEL_NAMES
         self._allowed = tuple(get_persona(name).name for name in allowed)
@@ -69,9 +70,7 @@ class PersonaRouter:
                 f"default persona {default!r} is not among the served "
                 f"personas {', '.join(self._allowed)}"
             )
-        self._factory = engine_factory or (
-            lambda name: MatchingEngine.for_model(name, batch_size=batch_size)
-        )
+        self._factory = engine_factory or MatchingEngine.for_model
         self._engines = {}
         self._lock = threading.Lock()
 

@@ -1,10 +1,8 @@
-"""Tests for the bounded LRU + TTL result cache."""
+"""Tests for the bounded LRU result cache."""
 
 import pytest
 
 from repro.engine.cache import ResultCache
-
-from tests.engine.doubles import FakeClock
 
 
 class TestLRU:
@@ -43,34 +41,4 @@ class TestLRU:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(max_size=0)
-        with pytest.raises(ValueError):
-            ResultCache(ttl=0)
 
-
-class TestTTL:
-    def test_entries_expire(self):
-        clock = FakeClock()
-        cache = ResultCache(max_size=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.9)
-        assert cache.get("a") == 1
-        clock.advance(0.2)
-        assert cache.get("a") is None
-        assert cache.expirations == 1
-        assert len(cache) == 0
-
-    def test_put_resets_age(self):
-        clock = FakeClock()
-        cache = ResultCache(max_size=8, ttl=10.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(8.0)
-        cache.put("a", 2)
-        clock.advance(8.0)
-        assert cache.get("a") == 2
-
-    def test_no_ttl_means_immortal(self):
-        clock = FakeClock()
-        cache = ResultCache(max_size=8, ttl=None, clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == 1

@@ -16,12 +16,11 @@ from repro.engine import (
     MatchingEngine,
     make_backend,
 )
-from repro.engine.cache import ResultCache
 from repro.eval.evaluator import evaluate_model
 from repro.llm.model import build_model
 from repro.prompts.templates import SIMPLE_FREE, get_prompt
 
-from tests.engine.doubles import EchoBackend, FakeClock
+from tests.engine.doubles import EchoBackend
 
 
 @pytest.fixture(scope="module")
@@ -82,19 +81,6 @@ class TestCachingAndDedup:
         engine.match_pairs([("acme  router", "acme router v2")])
         results = engine.match_pairs([(" acme router ", "acme   router v2")])
         assert results[0].source == "cache"
-
-    def test_cache_respects_ttl(self):
-        clock = FakeClock()
-        engine = MatchingEngine(
-            backend=EchoBackend(),
-            cache=ResultCache(max_size=64, ttl=60.0, clock=clock),
-            clock=clock,
-            sleep=lambda s: None,
-        )
-        engine.match_pairs([("p", "q")])
-        clock.advance(61.0)
-        results = engine.match_pairs([("p", "q")])
-        assert results[0].source == "backend"  # expired → re-asked
 
     def test_entity_pair_descriptions_used_verbatim(self, product_split):
         engine = MatchingEngine(backend=EchoBackend())

@@ -10,7 +10,6 @@ threshold baseline — all without raising to the caller.
 import pytest
 
 from repro.engine import CircuitBreaker, MatchingEngine, RetryPolicy
-from repro.engine.cache import ResultCache
 
 from tests.engine.doubles import (
     EchoBackend,
@@ -30,7 +29,6 @@ def make_engine(backend, clock=None, **overrides):
     clock = clock or FakeClock()
     defaults = dict(
         backend=backend,
-        cache=ResultCache(clock=clock),
         batch_size=8,
         retry=RetryPolicy(max_attempts=3, backoff_base=0.01, jitter=0.0),
         breaker=CircuitBreaker(failure_threshold=3, cooldown=10.0, clock=clock),

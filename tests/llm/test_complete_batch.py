@@ -98,7 +98,7 @@ def reference_complete(model, prompt: str) -> str:
     left, right = extract_entities(prompt)
     template = identify_prompt(prompt)
     if template is None:
-        question = prompt.splitlines()[0].strip('" ')
+        question = prompt.partition("\n")[0].strip('" ')
         template = PromptTemplate(name="custom", question=question, forced=False)
     decision = bool(model.logits([_adhoc(left, right)], template)[0] > 0.0)
     explanation = None
@@ -204,3 +204,19 @@ def test_pair_rng_is_default_rng():
     for seed in (0, 1, 2**63 + 12345, 2**64 - 1):
         assert np.array_equal(_pair_rng(seed).standard_normal(40),
                               np.random.default_rng(seed).standard_normal(40))
+
+
+class TestCustomQuestionLine:
+    def test_question_with_a_carriage_return_parses_back_whole(self):
+        from repro.llm.model import _parse_prompt
+
+        template = PromptTemplate("custom", "Is this\rthe same product?", False)
+        model = MODELS["llama-3.1-8b"]
+        left, right = PAIRS[0]
+        parsed_left, parsed_right, parsed = _parse_prompt(
+            template.render(left, right)
+        )
+        assert (parsed_left, parsed_right) == (left, right)
+        assert parsed.question == "Is this\rthe same product?"
+        assert parsed == template
+        assert model.prompt_bias(parsed) == model.prompt_bias(template)

@@ -60,14 +60,13 @@ def _session():
     stats add made while the requests were submitted (before the pump).
     """
     clock = ManualClock(start=10.0)
-    router, _ = _router()
+    router, _ = _router(batch_size=8)
     admission = AdmissionController(
         clock=clock,
         tenant_policies={"c": TenantPolicy(rate=0.0, burst=1.0)},
     )
     gateway = Gateway(
         router, admission, workers=0, clock=clock, queue_capacity=3,
-        batch_size=8,
     )
     adds = []
     add = gateway.stats.add

@@ -1,6 +1,7 @@
 """Gateway: queueing, backpressure, degradation, deadlines, both drive modes."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -23,13 +24,14 @@ PERSONA = "llama-3.1-8b"
 OTHER = "gpt-4o"
 
 
-def _router(engines: dict | None = None, personas=(PERSONA, OTHER)):
+def _router(engines: dict | None = None, personas=(PERSONA, OTHER), **fake):
+    """A router over fake engines; *fake* goes to each new FakeEngine."""
     engines = engines if engines is not None else {}
 
     def factory(name):
         engine = engines.get(name)
         if engine is None:
-            engine = engines[name] = FakeEngine()
+            engine = engines[name] = FakeEngine(**fake)
         return engine
 
     return PersonaRouter(
@@ -73,8 +75,8 @@ def _no_violations(gateway, router, engines):
 class TestInlineMode:
     def test_answers_in_submission_order_with_exact_accounting(self):
         clock = ManualClock()
-        router, engines = _router()
-        gateway = Gateway(router, workers=0, clock=clock, batch_size=4)
+        router, engines = _router(batch_size=4)
+        gateway = Gateway(router, workers=0, clock=clock)
         requests = _requests(10)
 
         responses = asyncio.run(run_inline(gateway, requests))
@@ -90,8 +92,8 @@ class TestInlineMode:
         _no_violations(gateway, router, engines)
 
     def test_chunks_respect_batch_size_and_persona_contiguity(self):
-        router, engines = _router()
-        gateway = Gateway(router, workers=0, batch_size=4)
+        router, engines = _router(batch_size=4)
+        gateway = Gateway(router, workers=0)
         # 3 for the default persona, then 2 for the other, then 6 back on
         # the default: chunks must never mix personas or exceed the batch.
         workload = (
@@ -106,6 +108,52 @@ class TestInlineMode:
         assert engines[OTHER].stats.requests == 2
         assert engines[PERSONA].stats.requests == 9
         assert all(size <= 4 for size in chunk_shapes)
+
+    def test_each_persona_is_chunked_at_its_own_engine_batch_size(self):
+        engines = {
+            PERSONA: FakeEngine(batch_size=4),
+            OTHER: FakeEngine(batch_size=8),
+        }
+        router, _ = _router(engines)
+        gateway = Gateway(router, workers=0)
+        workload = (
+            _requests(10) + _requests(19, persona=OTHER) + _requests(5)
+        )
+        responses = asyncio.run(run_inline(gateway, workload))
+
+        assert all(r.ok and r.source == "backend" for r in responses)
+        assert [len(c) for c in engines[PERSONA].chunks] == [4, 4, 2, 4, 1]
+        assert [len(c) for c in engines[OTHER].chunks] == [8, 8, 3]
+        _no_violations(gateway, router, engines)
+
+    def test_engine_is_built_outside_the_queue_lock(self):
+        gateway = None
+        lock_free = []
+
+        def submitter():
+            got = gateway._cv.acquire(timeout=5)
+            if got:
+                gateway._cv.release()
+            lock_free.append(got)
+
+        def factory(name):
+            # A submitter on another thread must get the queue lock while
+            # the dispatcher builds the engine.
+            probe = threading.Thread(target=submitter)
+            probe.start()
+            probe.join(timeout=30)
+            assert not probe.is_alive()
+            return FakeEngine(batch_size=2)
+
+        router = PersonaRouter(
+            default=PERSONA, personas=(PERSONA,), engine_factory=factory
+        )
+        gateway = Gateway(router, workers=0)
+        responses = asyncio.run(run_inline(gateway, _requests(3)))
+
+        assert lock_free == [True]
+        assert all(r.ok for r in responses)
+        assert [len(c) for c in router.engine(PERSONA).chunks] == [2, 1]
 
     def test_unknown_persona_is_a_structured_404_not_a_traceback(self):
         router, engines = _router()
@@ -177,8 +225,8 @@ class TestBackpressure:
 class TestDeadlines:
     def test_expired_in_queue_is_never_dispatched(self):
         clock = ManualClock()
-        router, engines = _router()
-        gateway = Gateway(router, workers=0, clock=clock, batch_size=8)
+        router, engines = _router(batch_size=8)
+        gateway = Gateway(router, workers=0, clock=clock)
 
         async def scenario():
             doomed = asyncio.ensure_future(gateway.match(
@@ -209,7 +257,7 @@ class TestDeadlines:
 class TestCircuitBreaker:
     def test_open_breaker_degrades_without_touching_the_engine(self):
         clock = ManualClock(start=10.0)
-        router, engines = _router()
+        router, engines = _router(clock=clock)
         gateway = Gateway(router, workers=0, clock=clock)
         engine = router.engine(PERSONA)
         engine.breaker.state = "open"
@@ -227,7 +275,7 @@ class TestCircuitBreaker:
 
     def test_breaker_past_cooldown_dispatches_normally(self):
         clock = ManualClock(start=10.0)
-        router, engines = _router()
+        router, engines = _router(clock=clock)
         gateway = Gateway(router, workers=0, clock=clock)
         engine = router.engine(PERSONA)
         engine.breaker.state = "open"
@@ -260,10 +308,8 @@ class TestAdmissionIntegration:
 
 class TestThreadedMode:
     def test_threaded_workers_answer_everything_with_exact_accounting(self):
-        router, engines = _router()
-        gateway = Gateway(
-            router, workers=1, queue_capacity=256, batch_size=8
-        )
+        router, engines = _router(batch_size=8)
+        gateway = Gateway(router, workers=1, queue_capacity=256)
         workload = _requests(40) + _requests(24, persona=OTHER, tenant="b")
 
         async def scenario():
@@ -282,8 +328,8 @@ class TestThreadedMode:
         _no_violations(gateway, router, engines)
 
     def test_close_drains_the_queue_before_workers_exit(self):
-        router, engines = _router()
-        gateway = Gateway(router, workers=1, batch_size=4)
+        router, engines = _router(batch_size=4)
+        gateway = Gateway(router, workers=1)
 
         async def scenario():
             await gateway.start()
@@ -331,13 +377,39 @@ class TestThreadedMode:
         assert backend.calls == 2
         assert gateway.stats.violations() == []
 
+    def test_engine_that_fails_to_build_is_answered_degraded(self):
+        def factory(name):
+            if name == PERSONA:
+                raise RuntimeError("cannot build engine")
+            return FakeEngine()
+
+        router = PersonaRouter(
+            default=PERSONA, personas=(PERSONA, OTHER), engine_factory=factory
+        )
+        gateway = Gateway(router, workers=1)
+        [failed] = _requests(1)
+        [other] = _requests(1, persona=OTHER)
+
+        async def scenario():
+            await gateway.start()
+            answers = [await asyncio.wait_for(gateway.match(r), 30)
+                       for r in (failed, other)]
+            with pytest.raises(RuntimeError, match="cannot build engine"):
+                await gateway.close()
+            return answers
+
+        failed, served = asyncio.run(scenario())
+        assert (failed.source, failed.reason) == ("degraded", "dispatch_error")
+        assert served.ok and served.source == "backend"
+        assert gateway.stats.violations() == []
+
 
 class TestConstructionValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"queue_capacity": 0},
-            {"batch_size": 0},
+            {"queue_capacity": -1},
             {"workers": -1},
             {"workers": 2},
         ],

@@ -35,8 +35,8 @@ def _spy_handoffs(loop, calls):
 async def _queue_then_serve(gateway, requests, calls):
     """Queue every request before the worker starts, then serve them all.
 
-    The worker then finds a full queue, so it takes ``batch_size`` items
-    per chunk whatever the thread timing.
+    The worker then finds a full queue, so it takes its engine's
+    ``batch_size`` items per chunk whatever the thread timing.
     """
     _spy_handoffs(asyncio.get_running_loop(), calls)
     tasks = [asyncio.ensure_future(gateway.match(r)) for r in requests]
@@ -49,8 +49,8 @@ async def _queue_then_serve(gateway, requests, calls):
 class TestOneHandoffPerChunk:
     def test_threaded_worker_calls_the_loop_once_per_chunk(self):
         requests = _requests(37) + _requests(5, persona=OTHER, tenant="b")
-        router, engines = _router()
-        gateway = Gateway(router, workers=1, batch_size=8)
+        router, engines = _router(batch_size=8)
+        gateway = Gateway(router, workers=1)
         calls = []
         responses = asyncio.run(_queue_then_serve(gateway, requests, calls))
 
@@ -58,8 +58,8 @@ class TestOneHandoffPerChunk:
         assert chunks == 6  # 8 + 8 + 8 + 8 + 5, then the other persona's 5
         assert len(calls) == chunks
 
-        inline_router, _ = _router()
-        inline = Gateway(inline_router, workers=0, batch_size=8)
+        inline_router, _ = _router(batch_size=8)
+        inline = Gateway(inline_router, workers=0)
         assert responses == asyncio.run(run_inline(inline, requests))
         assert [r.request.request_id for r in responses] == [
             r.request_id for r in requests
@@ -68,8 +68,8 @@ class TestOneHandoffPerChunk:
         assert gateway.stats.violations() == []
 
     def test_each_submitting_loop_gets_one_call_per_chunk_it_is_in(self):
-        router, engines = _router()
-        gateway = Gateway(router, workers=1, batch_size=8)
+        router, engines = _router(batch_size=8)
+        gateway = Gateway(router, workers=1)
         calls = {"x": [], "y": []}
         results = {}
         enqueued = threading.Barrier(3, timeout=30)
@@ -147,8 +147,8 @@ def _mixed_session():
     spans two lane groups.
     """
     clock = ManualClock(start=10.0)
-    router, engines = _router()
-    gateway = Gateway(router, workers=0, clock=clock, batch_size=16)
+    router, engines = _router(batch_size=16, clock=clock)
+    gateway = Gateway(router, workers=0, clock=clock)
     breaker = router.engine(PERSONA).breaker
     breaker.state, breaker.opened_at, breaker.cooldown = "open", 11.5, 2.0
     doomed = {2, 3, 6, 9}
@@ -223,9 +223,9 @@ class _ExplodingEngine(FakeEngine):
 class TestDispatchError:
     def test_every_future_is_answered_before_the_error_surfaces(self):
         clock = ManualClock(start=10.0)
-        engines = {PERSONA: _ExplodingEngine()}
+        engines = {PERSONA: _ExplodingEngine(batch_size=8)}
         router, _ = _router(engines)
-        gateway = Gateway(router, workers=0, clock=clock, batch_size=8)
+        gateway = Gateway(router, workers=0, clock=clock)
         requests = _requests(4)
         requests[1] = MatchRequest(tenant="a", left="x", right="y",
                                    persona=PERSONA, deadline=11.0,

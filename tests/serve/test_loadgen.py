@@ -96,14 +96,12 @@ class TestGenerateArrivals:
 class TestReplaySimulated:
     def _session(self, **profile_overrides):
         clock = ManualClock()
-        engine = FakeEngine()
+        engine = FakeEngine(batch_size=4)
         router = PersonaRouter(
             default=PERSONA, personas=(PERSONA,),
             engine_factory=lambda name: engine,
         )
-        gateway = Gateway(
-            router, workers=0, clock=clock, queue_capacity=64, batch_size=4
-        )
+        gateway = Gateway(router, workers=0, clock=clock, queue_capacity=64)
         arrivals = generate_arrivals(_profile(**profile_overrides), PAIRS)
         outcomes = asyncio.run(replay_simulated(gateway, arrivals, clock))
         return gateway, engine, arrivals, outcomes
